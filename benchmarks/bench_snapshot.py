@@ -133,9 +133,9 @@ def test_server_boot_to_first_answer(benchmark, mode, rng_seed, tmp_path):
     first_line = dump_request_line(requests[0])
     if mode == "restore":
         save_snapshot(restore_session(snapshot), tmp_path)
-        config = ServiceConfig(max_wait_ms=1.0, snapshot_dir=str(tmp_path))
+        config = ServiceConfig(snapshot_dir=str(tmp_path))
     else:
-        config = ServiceConfig(max_wait_ms=1.0)
+        config = ServiceConfig()
 
     def run():
         return asyncio.run(_boot_to_first_answer(config, first_line))

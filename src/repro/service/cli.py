@@ -11,8 +11,9 @@ Two modes share one wire format and one :class:`~repro.service.config.ServiceCon
   on a 200-request mix).
 * **serve mode**: ``python -m repro.service serve`` starts the asyncio
   socket server (:mod:`repro.service.server`) speaking the same JSONL
-  protocol continuously, with micro-batch windows (``--max-wait-ms``,
-  ``--max-batch``), bounded-queue backpressure (``--queue-limit``,
+  protocol continuously, with work-conserving micro-batch windows (a window
+  closes as soon as the worker is free and the queue is empty, at most
+  ``--max-batch`` requests), bounded-queue backpressure (``--queue-limit``,
   ``--overload block|shed``) and graceful drain on SIGINT/SIGTERM.  The
   bound address is announced on stderr (``--port 0`` picks an ephemeral
   port); ``--stats`` prints the latency/window statistics on shutdown.

@@ -10,9 +10,8 @@ the single dataclass all of them consume:
 * the **batch CLI** (``python -m repro.service FILE``) reads ``dependencies``,
   ``shards`` and ``batch``;
 * the **async server** (``python -m repro.service serve``) additionally reads
-  the micro-batch window bounds (``max_wait_ms``, ``max_batch``), the
-  admission-queue depth (``queue_limit``), the ``overload`` policy and the
-  listen address;
+  the micro-batch window size bound (``max_batch``), the admission-queue
+  depth (``queue_limit``), the ``overload`` policy and the listen address;
 * :meth:`ServiceConfig.make_session` / :meth:`ServiceConfig.make_executor`
   build the matching pipeline objects, so the three consumers cannot drift
   apart on defaults.
@@ -56,9 +55,10 @@ class ServiceConfig:
 
     ``shards == 1`` means in-process dispatch; ``batch=False`` selects the
     naive one-at-a-time baseline (file mode only — the server always
-    batches, that is its point).  ``max_wait_ms``/``max_batch`` bound the
-    micro-batch window in time and size; ``queue_limit`` bounds admission;
-    ``port = 0`` asks the OS for an ephemeral port.
+    batches, that is its point).  Micro-batch windows are work-conserving:
+    one closes as soon as the worker is free and the admission queue is
+    empty, so ``max_batch`` is their only bound; ``queue_limit`` bounds
+    admission; ``port = 0`` asks the OS for an ephemeral port.
     """
 
     dependencies: tuple[PartitionDependency, ...] = ()
@@ -66,7 +66,6 @@ class ServiceConfig:
     batch: bool = True
     result_cache_size: int = 1024
     foreign_context_limit: int = 16
-    max_wait_ms: float = 20.0
     max_batch: int = 32
     queue_limit: int = 256
     overload: str = "block"
@@ -98,8 +97,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"foreign_context_limit must be >= 1, got {self.foreign_context_limit}"
             )
-        if self.max_wait_ms < 0:
-            raise ServiceError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_limit < 1:
@@ -283,12 +280,6 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         help="listen port (0 = ephemeral; the bound port is announced on stderr)",
     )
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=defaults.max_wait_ms,
-        help=f"micro-batch window timer in milliseconds (default {defaults.max_wait_ms})",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=defaults.max_batch,
@@ -350,7 +341,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         shards=args.shards,
         batch=not getattr(args, "no_batch", False),
         result_cache_size=args.cache_size,
-        max_wait_ms=getattr(args, "max_wait_ms", ServiceConfig.max_wait_ms),
         max_batch=getattr(args, "max_batch", ServiceConfig.max_batch),
         queue_limit=getattr(args, "queue_limit", ServiceConfig.queue_limit),
         overload=getattr(args, "overload", ServiceConfig.overload),

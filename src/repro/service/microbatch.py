@@ -2,8 +2,9 @@
 
 The batch planner's 1.5–7× group-by amortization (PR 5) only materializes
 when requests arrive *pre-collected*; a live socket delivers them one at a
-time.  :class:`MicroBatcher` closes that gap the way modern inference-serving
-stacks do — continuous batching with a bounded window:
+time.  :class:`MicroBatcher` closes that gap with **work-conserving**
+continuous batching — no window timer, so an idle server never holds a
+request back:
 
 * **Admission** — :meth:`MicroBatcher.submit` puts each request into a
   *bounded* queue.  When the queue is full, the ``block`` policy makes the
@@ -11,16 +12,16 @@ stacks do — continuous batching with a bounded window:
   read, TCP pushes back on the client), while the ``shed`` policy answers
   immediately with a well-formed ``ok=false`` result whose error type is
   ``"Overloaded"`` — the client still gets exactly one answer per request.
-* **Windowing** — a single collector loop drains the queue into windows
-  bounded in size (``max_batch``) and time (``max_wait_ms`` measured from the
-  first request of the window).  A backlog (requests that queued while the
-  previous window executed) is drained without waiting, so the system
-  degrades into *larger* windows under load — exactly when amortization pays
-  most.  Each closed window goes to the pipeline executor **whole**, so the
-  planner sees the same batch shape a request file would give it.
+* **Windowing** — while the worker is free, a single collector loop closes a
+  window as soon as the queue is empty: the first request plus whatever is
+  already queued, up to ``max_batch`` (close reasons ``"size"``, ``"idle"``,
+  ``"drain"``).  Requests that arrive while a window executes form the next
+  window, so windows grow only under load — exactly when amortization pays.
+  Each closed window goes to the pipeline executor **whole**, so the planner
+  sees the same batch shape a request file would give it.
 * **Execution** — windows run on one dedicated worker thread
   (:class:`~concurrent.futures.ThreadPoolExecutor` of size 1), keeping the
-  event loop free to accumulate the next window while the current one
+  event loop free to admit the next window's requests while the current one
   computes, and keeping window execution *sequential* against one session —
   which is what makes served results byte-identical to the file CLI.
 * **Accounting** — every request is stamped at enqueue → window-close →
@@ -115,7 +116,7 @@ class Ticket:
         self.responded_at: Optional[float] = None
         self.shed = False
         # Telemetry annotations: the size of the window this ticket rode in
-        # and why it closed ("full" / "timer" / "drain"), stamped at close.
+        # and why it closed ("size" / "idle" / "drain"), stamped at close.
         self.window_size: Optional[int] = None
         self.window_reason: Optional[str] = None
         self._stats = stats
@@ -148,7 +149,7 @@ class MicroBatchStats:
         self.windows = 0
         self.window_size_sum = 0
         self.window_size_max = 0
-        self.closed_by = {"size": 0, "timer": 0, "drain": 0}
+        self.closed_by = {"size": 0, "idle": 0, "drain": 0}
         self.over_budget = 0
         self.budget_retried = 0
         self.budget_timeouts = 0
@@ -233,7 +234,6 @@ class MicroBatcher:
     def __init__(
         self,
         execute_window: Callable[[list[QueryRequest]], Sequence[QueryResult]],
-        max_wait_ms: float = 20.0,
         max_batch: int = 32,
         queue_limit: int = 256,
         overload: str = "block",
@@ -242,8 +242,6 @@ class MicroBatcher:
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ServiceError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ServiceError(f"queue_limit must be >= 1, got {queue_limit}")
         if overload not in ("block", "shed"):
@@ -252,7 +250,6 @@ class MicroBatcher:
             raise ServiceError(f"window_budget_ms must be positive, got {window_budget_ms}")
         self._execute_window = execute_window
         self._window_budget_ms = window_budget_ms
-        self._max_wait = max_wait_ms / 1000.0
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._overload = overload
@@ -301,10 +298,15 @@ class MicroBatcher:
         submitting ``fn`` to the same thread means it can never interleave
         with a window that is mutating the session.  The live-snapshot
         control line uses this to export a consistent Γ state from a serving
-        process without pausing admission.
+        process without pausing admission.  After :meth:`drain` has shut the
+        worker down no window can run any more, so ``fn`` runs inline.
         """
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._worker, fn)
+        try:
+            future = loop.run_in_executor(self._worker, fn)
+        except RuntimeError:  # the worker is shut down: the batcher is drained
+            return fn()
+        return await future
 
     # -- admission -------------------------------------------------------------
 
@@ -353,7 +355,7 @@ class MicroBatcher:
             if first is _DRAIN:
                 return
             window = [first]
-            reason = await self._fill_window(window)
+            reason = self._fill_window(window)
             now = time.perf_counter()
             for ticket in window:
                 ticket.window_closed_at = now
@@ -364,24 +366,18 @@ class MicroBatcher:
             if reason == "drain":
                 return
 
-    async def _fill_window(self, window: list) -> str:
-        """Grow the window to ``max_batch`` or the timer; returns the close reason.
+    def _fill_window(self, window: list) -> str:
+        """Add the queued backlog, up to ``max_batch``; returns the close reason.
 
-        Backlog is drained synchronously (no await), so requests that queued
-        while the previous window executed coalesce immediately.
+        Synchronous (no await): the window closes as soon as the queue is
+        empty, so only requests that queued while the previous window
+        executed coalesce with the first one.
         """
-        deadline = time.perf_counter() + self._max_wait
         while len(window) < self._max_batch:
             try:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                timeout = deadline - time.perf_counter()
-                if timeout <= 0:
-                    return "timer"
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    return "timer"
+                return "idle"
             if item is _DRAIN:
                 return "drain"
             window.append(item)

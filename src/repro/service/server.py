@@ -31,7 +31,8 @@ Shape of the thing:
   (:mod:`~repro.service.telemetry`), and ``{"control": "snapshot"}`` exports
   a durable Γ snapshot of the *live* session into ``--snapshot-dir`` (the
   export runs on the window worker thread, so it never races a mutating
-  window); all are served in-order like any other line;
+  window); each is answered in order, after every earlier answer on its
+  connection has been written;
 * **observability** — with ``--trace`` or ``--metrics-dir`` the server mints
   a trace id per request at decode (or propagates the wire ``trace`` field),
   opens a root span, and emits ``plan``/``execute``/``respond`` children
@@ -130,7 +131,6 @@ class QueryServer:
             execute = self._session.execute_many
         self._batcher = MicroBatcher(
             execute,
-            max_wait_ms=config.max_wait_ms,
             max_batch=config.max_batch,
             queue_limit=config.queue_limit,
             overload=config.overload,
@@ -150,24 +150,25 @@ class QueryServer:
 
         Order matters: the listener closes first (no new connections), then
         readers are told to stop (no new lines admitted), then the batcher
-        flushes its open window — its drain sentinel rides the same FIFO
+        flushes its queue — its drain sentinel rides the same FIFO
         queue as the tickets, so everything admitted resolves first — and the
-        open writers finish delivering every admitted answer.  The batcher
-        drain must not wait for the writers: they are waiting on *it* to
-        close a window that would otherwise sit out its full ``max_wait_ms``.
+        open writers finish delivering every admitted answer.  Waiting for the
+        listener comes last: from Python 3.12 on it also waits for every open
+        connection, and those close only once the readers have stopped.
         """
         if self._drained:
             return
         self._drained = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self._drain_event.set()
         conn_tasks = list(self._conn_tasks)
         if self._batcher is not None:
             await self._batcher.drain()
         if conn_tasks:
             await asyncio.gather(*conn_tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._metrics_task is not None:
             self._metrics_task.cancel()
             try:
@@ -252,7 +253,6 @@ class QueryServer:
             "connections_served": self._connections_served,
             "mode": self._backend_name(),
             "window": {
-                "max_wait_ms": self.config.max_wait_ms,
                 "max_batch": self.config.max_batch,
                 "queue_limit": self.config.queue_limit,
                 "overload": self.config.overload,
@@ -409,14 +409,14 @@ class QueryServer:
                 self._conn_tasks.discard(task)
 
     async def _handle_line(self, text: str, line_number: int, pending: "asyncio.Queue") -> None:
-        """Decode one line into an ordered response slot (ticket or immediate line)."""
+        """Decode one line into an ordered response slot (ticket, control or immediate line)."""
         try:
             payload = canonical_loads(text)
         except ServiceError as exc:
             await pending.put(dump_result_line(error_result_for_line(text, line_number, exc)))
             return
         if isinstance(payload, dict) and "control" in payload:
-            await pending.put(await self._control_line(payload))
+            await pending.put(payload)  # answered by the writer, in stream order
             return
         try:
             request = decode_request(payload)
@@ -511,7 +511,11 @@ class QueryServer:
         )
 
     async def _write_responses(self, pending: "asyncio.Queue", writer: asyncio.StreamWriter) -> None:
-        """Deliver answers strictly in this connection's request order."""
+        """Deliver answers strictly in this connection's request order.
+
+        A control line (queued as its payload dict) is answered only once
+        every earlier answer is written, so its counts are reproducible.
+        """
         while True:
             item = await pending.get()
             if item is _END:
@@ -521,8 +525,13 @@ class QueryServer:
                 ticket, span = item
             else:
                 ticket = item if isinstance(item, Ticket) else None
-            result = await ticket.result() if ticket is not None else None
-            line = dump_result_line(result) if ticket is not None else item
+            if ticket is not None:
+                result = await ticket.result()
+                line = dump_result_line(result)
+            elif isinstance(item, dict):
+                line = await self._control_line(item)
+            else:
+                line = item
             try:
                 writer.write(line.encode("utf-8") + b"\n")
                 await writer.drain()

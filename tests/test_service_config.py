@@ -37,7 +37,6 @@ class TestValidation:
             ({"shards": 2, "batch": False}, "cannot be combined"),
             ({"result_cache_size": -1}, "result_cache_size"),
             ({"foreign_context_limit": 0}, "foreign_context_limit"),
-            ({"max_wait_ms": -0.5}, "max_wait_ms"),
             ({"max_batch": 0}, "max_batch"),
             ({"queue_limit": 0}, "queue_limit"),
             ({"overload": "explode"}, "overload"),
@@ -81,7 +80,7 @@ class TestArgparseRoundTrip:
         assert config.stats
         assert config.batch  # --no-batch not given
         # Serve-only knobs keep their defaults in file mode.
-        assert config.max_wait_ms == ServiceConfig.max_wait_ms
+        assert config.max_batch == ServiceConfig.max_batch
         assert config.overload == ServiceConfig.overload
 
     def test_file_mode_no_batch(self):
@@ -93,7 +92,6 @@ class TestArgparseRoundTrip:
             [
                 "--host", "0.0.0.0",
                 "--port", "4321",
-                "--max-wait-ms", "7.5",
                 "--max-batch", "16",
                 "--queue-limit", "9",
                 "--overload", "shed",
@@ -101,7 +99,6 @@ class TestArgparseRoundTrip:
             serve=True,
         )
         assert (config.host, config.port) == ("0.0.0.0", 4321)
-        assert config.max_wait_ms == 7.5
         assert config.max_batch == 16
         assert config.queue_limit == 9
         assert config.overload == "shed"
@@ -112,6 +109,15 @@ class TestArgparseRoundTrip:
         add_config_arguments(parser, serve=True)
         with pytest.raises(SystemExit):
             parser.parse_args(["--no-batch"])
+
+    def test_serve_mode_has_no_window_timer_flag(self):
+        # Windows are work-conserving: there is no timer to tune.
+        parser = argparse.ArgumentParser()
+        add_config_arguments(parser, serve=True)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--max-wait-ms", "5"])
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait_ms=5.0)
 
     def test_bad_dependency_flag_names_the_flag(self):
         parser = argparse.ArgumentParser()

@@ -322,7 +322,7 @@ class TestCircuitBreaker:
 
         plan = FaultPlan(seed=7, faults=(Fault(kind="crash_request", request_id="q2"),))
         config = ServiceConfig(
-            shards=2, breaker_threshold=1, fault_plan=plan.to_json(), max_wait_ms=5.0
+            shards=2, breaker_threshold=1, fault_plan=plan.to_json()
         )
 
         async def scenario():
@@ -361,7 +361,7 @@ class TestCircuitBreaker:
         assert answers["q2"]["error"]["type"] == "WorkerCrashed"
 
     def test_health_reports_ok_before_any_fault(self):
-        config = ServiceConfig(max_wait_ms=5.0)
+        config = ServiceConfig()
         out, _ = run(serve_stream('{"control":"health"}', config))
         health = json.loads(out[0])["health"]
         assert health["status"] == "ok"
@@ -371,18 +371,44 @@ class TestCircuitBreaker:
 
 class TestWindowBudget:
     def test_over_budget_window_degrades_to_retry_lane(self):
-        plan = FaultPlan(seed=3, faults=(Fault(kind="delay", request_id="q2", delay_ms=800.0),))
+        from repro.service.server import QueryServer
+
+        plan = FaultPlan(
+            seed=3,
+            faults=(
+                Fault(kind="delay", request_id="q0", delay_ms=80.0),
+                Fault(kind="delay", request_id="q2", delay_ms=800.0),
+            ),
+        )
         lines = [
             _req_line(1, "implies", "A = A*B"),
             _req_line(2, "implies", "B = B*C"),
             _req_line(3, "implies", "A = A*C"),
         ]
         config = ServiceConfig(
-            window_budget_ms=150.0, fault_plan=plan.to_json(), max_wait_ms=30.0, max_batch=8
+            window_budget_ms=150.0, fault_plan=plan.to_json(), max_batch=8
         )
-        out, stats = run(serve_stream("\n".join(lines), config))
+
+        async def scenario():
+            async with QueryServer(config) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                # q0 runs alone (80 ms, inside the budget); q1-q3 arrive while
+                # it executes, so the slow q2 shares the next window with both.
+                writer.write((_req_line(0, "implies", "A = A") + "\n").encode())
+                await writer.drain()
+                while server.batcher.stats.windows < 1:
+                    await asyncio.sleep(0.001)
+                writer.write("".join(line + "\n" for line in lines).encode())
+                await writer.drain()
+                out = [await reader.readline() for _ in range(4)]
+                writer.close()
+                await writer.wait_closed()
+                return out, server.stats_snapshot()
+
+        out, stats = run(scenario())
         answers = {json.loads(line)["id"]: json.loads(line) for line in out}
-        assert answers["q1"]["ok"] and answers["q3"]["ok"]
+        assert answers["q0"]["ok"] and answers["q1"]["ok"] and answers["q3"]["ok"]
+        assert stats["windows"]["count"] == 2
         assert answers["q2"]["error"]["type"] == "Timeout"
         assert "window budget" in answers["q2"]["error"]["message"]
         assert stats["windows"]["over_budget"] == 1
@@ -399,7 +425,7 @@ class TestWindowBudget:
             _req_line(3, "implies", "A = A*C"),
         ]
         config = ServiceConfig(
-            window_budget_ms=5_000.0, fault_plan=plan.to_json(), max_wait_ms=30.0, max_batch=8
+            window_budget_ms=5_000.0, fault_plan=plan.to_json(), max_batch=8
         )
         out, stats = run(serve_stream("\n".join(lines), config))
         answers = {json.loads(line)["id"]: json.loads(line) for line in out}

@@ -1,9 +1,10 @@
 """Unit tests for the micro-batch window: triggers, backpressure, drain, accounting.
 
 Everything here drives :class:`~repro.service.microbatch.MicroBatcher`
-directly (no sockets) with controllable window executors, so the three
-window-close triggers (size, timer, drain), both overload policies and the
-latency accounting are each pinned deterministically.
+directly (no sockets) with controllable window executors, so the
+work-conserving window policy and its three close reasons (size, idle,
+drain), both overload policies and the latency accounting are each pinned
+deterministically.
 """
 
 import asyncio
@@ -49,48 +50,66 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class TestWindowTriggers:
-    def test_size_trigger_closes_without_waiting(self):
+async def _until(predicate, timeout=5.0):
+    """Yield to the event loop until ``predicate()`` holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached"
+        await asyncio.sleep(0.001)
+
+
+class TestWorkConservingWindows:
+    def test_lone_request_runs_as_a_window_of_one_closed_idle(self):
+        executor = GatedExecutor()
+
         async def scenario():
-            # The timer is effectively infinite: only the size bound can close.
-            async with MicroBatcher(_echo_executor, max_wait_ms=60_000, max_batch=3) as mb:
-                tickets = [await mb.submit(_request(i)) for i in range(3)]
-                results = await asyncio.wait_for(
-                    asyncio.gather(*(t.result() for t in tickets)), timeout=5
-                )
-                return results, mb.stats
+            async with MicroBatcher(executor, max_batch=100) as mb:
+                ticket = await mb.submit(_request(0))
+                # The window closes with nothing else queued: no timer to sit out.
+                await _until(lambda: mb.stats.windows == 1)
+                closed = (ticket.window_size, ticket.window_reason)
+                executor.gate.set()
+                await asyncio.wait_for(ticket.result(), timeout=5)
+                return closed, mb.stats
 
-        results, stats = run(scenario())
-        assert [r.value["echo"] for r in results] == ["q0", "q1", "q2"]
-        assert stats.windows == 1
-        assert stats.closed_by["size"] == 1
-        assert stats.window_size_max == 3
+        closed, stats = run(scenario())
+        assert closed == (1, "idle")
+        assert stats.closed_by == {"size": 0, "idle": 1, "drain": 0}
+        assert executor.windows == [["q0"]]
 
-    def test_timer_trigger_closes_partial_window(self):
-        async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=30, max_batch=100) as mb:
-                tickets = [await mb.submit(_request(i)) for i in range(2)]
-                results = await asyncio.wait_for(
-                    asyncio.gather(*(t.result() for t in tickets)), timeout=5
-                )
-                return results, mb.stats
-
-        results, stats = run(scenario())
-        assert all(r.ok for r in results)
-        assert stats.closed_by["timer"] == 1
-        assert stats.window_size_max == 2
-
-    def test_backlog_coalesces_into_one_window(self):
+    def test_requests_arriving_during_a_window_coalesce_into_the_next(self):
         """Requests queued while a window executes all land in the next window."""
         executor = GatedExecutor()
 
         async def scenario():
-            async with MicroBatcher(executor, max_wait_ms=0, max_batch=10) as mb:
+            async with MicroBatcher(executor, max_batch=10) as mb:
                 first = await mb.submit(_request(0))
-                # Wait until the collector owns the first window (queue empty).
-                while mb.stats.windows < 1:
-                    await asyncio.sleep(0.001)
+                await _until(lambda: mb.stats.windows == 1)  # q0 is executing
                 backlog = [await mb.submit(_request(i)) for i in range(1, 5)]
+                await asyncio.sleep(0.02)
+                windows_while_busy = mb.stats.windows  # nothing closes while busy
+                executor.gate.set()
+                await asyncio.wait_for(
+                    asyncio.gather(first.result(), *(t.result() for t in backlog)), timeout=5
+                )
+                return windows_while_busy, backlog, mb.stats
+
+        windows_while_busy, backlog, stats = run(scenario())
+        assert windows_while_busy == 1
+        assert stats.windows == 2
+        assert executor.windows == [["q0"], ["q1", "q2", "q3", "q4"]]
+        assert {(t.window_size, t.window_reason) for t in backlog} == {(4, "idle")}
+        assert stats.closed_by["idle"] == 2
+
+    def test_max_batch_caps_a_window(self):
+        executor = GatedExecutor()
+
+        async def scenario():
+            async with MicroBatcher(executor, max_batch=3) as mb:
+                first = await mb.submit(_request(0))
+                await _until(lambda: mb.stats.windows == 1)
+                backlog = [await mb.submit(_request(i)) for i in range(1, 8)]
                 executor.gate.set()
                 await asyncio.wait_for(
                     asyncio.gather(first.result(), *(t.result() for t in backlog)), timeout=5
@@ -98,10 +117,14 @@ class TestWindowTriggers:
                 return mb.stats
 
         stats = run(scenario())
-        assert stats.windows == 2
-        assert executor.windows[0] == ["q0"]
-        assert executor.windows[1] == ["q1", "q2", "q3", "q4"]
-
+        assert executor.windows == [
+            ["q0"],
+            ["q1", "q2", "q3"],
+            ["q4", "q5", "q6"],
+            ["q7"],
+        ]
+        assert stats.closed_by == {"size": 2, "idle": 2, "drain": 0}
+        assert stats.window_size_max == 3
 
 class TestOverload:
     def test_shed_answers_with_overloaded_error(self):
@@ -109,7 +132,7 @@ class TestOverload:
 
         async def scenario():
             async with MicroBatcher(
-                executor, max_wait_ms=0, max_batch=1, queue_limit=2, overload="shed"
+                executor, max_batch=1, queue_limit=2, overload="shed"
             ) as mb:
                 first = await mb.submit(_request(0))
                 while mb.stats.windows < 1:  # collector holds q0, queue empty again
@@ -139,7 +162,7 @@ class TestOverload:
 
         async def scenario():
             async with MicroBatcher(
-                executor, max_wait_ms=0, max_batch=1, queue_limit=1, overload="block"
+                executor, max_batch=1, queue_limit=1, overload="block"
             ) as mb:
                 first = await mb.submit(_request(0))
                 while mb.stats.windows < 1:
@@ -160,17 +183,36 @@ class TestOverload:
 
 class TestDrain:
     def test_drain_answers_everything_admitted(self):
+        """Requests queued behind a busy window are answered by the drain window."""
+        executor = GatedExecutor()
+
         async def scenario():
-            mb = MicroBatcher(_echo_executor, max_wait_ms=60_000, max_batch=100)
+            mb = MicroBatcher(executor, max_batch=100)
             await mb.start()
-            tickets = [await mb.submit(_request(i)) for i in range(5)]
-            # The window would wait a minute; drain must flush it now.
-            await asyncio.wait_for(mb.drain(), timeout=5)
-            return [ticket.future.result() for ticket in tickets], mb.stats
+            first = await mb.submit(_request(0))
+            await _until(lambda: mb.stats.windows == 1)
+            backlog = [await mb.submit(_request(i)) for i in range(1, 5)]
+            draining = asyncio.ensure_future(mb.drain())
+            await asyncio.sleep(0.01)  # the drain sentinel queues behind the backlog
+            executor.gate.set()
+            await asyncio.wait_for(draining, timeout=5)
+            return [ticket.future.result() for ticket in [first, *backlog]], mb.stats
 
         results, stats = run(scenario())
         assert [r.id for r in results] == [f"q{i}" for i in range(5)]
+        assert executor.windows == [["q0"], ["q1", "q2", "q3", "q4"]]
         assert stats.closed_by["drain"] == 1
+
+    def test_run_exclusive_after_drain_runs_inline(self):
+        # A control line answered after drain (its writer ran late) still
+        # gets its exclusive call, although the worker thread is gone.
+        async def scenario():
+            mb = MicroBatcher(_echo_executor)
+            await mb.start()
+            await mb.drain()
+            return await mb.run_exclusive(lambda: threading.current_thread())
+
+        assert run(scenario()) is threading.main_thread()
 
     def test_submit_after_drain_is_rejected(self):
         async def scenario():
@@ -198,7 +240,7 @@ class TestFaults:
             raise RuntimeError("window executor exploded")
 
         async def scenario():
-            async with MicroBatcher(broken, max_wait_ms=0, max_batch=4) as mb:
+            async with MicroBatcher(broken, max_batch=4) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(2)]
                 return await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -214,7 +256,7 @@ class TestFaults:
             return _echo_executor(requests)[:-1]
 
         async def scenario():
-            async with MicroBatcher(lossy, max_wait_ms=0, max_batch=4) as mb:
+            async with MicroBatcher(lossy, max_batch=4) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(3)]
                 return await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -227,7 +269,6 @@ class TestFaults:
     def test_invalid_construction_is_rejected(self):
         for kwargs in (
             {"max_batch": 0},
-            {"max_wait_ms": -1},
             {"queue_limit": 0},
             {"overload": "panic"},
         ):
@@ -246,7 +287,7 @@ class TestAccounting:
 
     def test_snapshot_reports_stage_percentiles_and_occupancy(self):
         async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=5, max_batch=4) as mb:
+            async with MicroBatcher(_echo_executor, max_batch=4) as mb:
                 for round_index in range(3):
                     tickets = [await mb.submit(_request(round_index * 4 + i)) for i in range(4)]
                     for ticket in tickets:
@@ -268,7 +309,7 @@ class TestAccounting:
 
     def test_mark_responded_is_idempotent(self):
         async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=0, max_batch=1) as mb:
+            async with MicroBatcher(_echo_executor, max_batch=1) as mb:
                 ticket = await mb.submit(_request(0))
                 await ticket.result()
                 ticket.mark_responded()
@@ -292,7 +333,7 @@ class TestRealPipeline:
 
         async def scenario():
             session = Session()
-            async with MicroBatcher(session.execute_many, max_wait_ms=5, max_batch=8) as mb:
+            async with MicroBatcher(session.execute_many, max_batch=8) as mb:
                 tickets = [await mb.submit(request) for request in requests]
                 return [await ticket.result() for ticket in tickets]
 

@@ -11,8 +11,8 @@ The serving contract, pinned over real sockets:
   percentiles and window occupancy;
 * undecodable lines become error results that echo the request ``id`` when
   one parsed, falling back to the connection line number;
-* graceful drain answers everything admitted even when the open window's
-  timer is nowhere near firing;
+* graceful drain answers everything admitted, including requests still
+  queued behind a window that is executing;
 * the ``shed`` overload policy answers surplus requests with well-formed
   ``Overloaded`` error results while admitted requests still succeed;
 * ``python -m repro.service serve`` announces its port, serves, and drains
@@ -101,7 +101,7 @@ async def _poll(predicate, timeout=10.0):
 
 class TestByteIdentity:
     def test_single_connection_matches_batch_pipeline(self, acceptance_stream, expected_lines):
-        config = ServiceConfig(max_wait_ms=5.0, max_batch=32)
+        config = ServiceConfig(max_batch=32)
         lines, stats = run(serve_stream(requests_to_jsonl(acceptance_stream), config))
         assert lines == expected_lines
         assert stats["requests"]["answered"] == len(acceptance_stream)
@@ -115,7 +115,7 @@ class TestByteIdentity:
         slices = [acceptance_stream[i::8] for i in range(8)]
 
         async def scenario():
-            config = ServiceConfig(max_wait_ms=10.0, max_batch=32)
+            config = ServiceConfig(max_batch=32)
             async with QueryServer(config) as server:
                 host, port = server.host, server.port
                 answers = await asyncio.gather(
@@ -137,7 +137,7 @@ class TestByteIdentity:
 
     def test_sharded_backend_serves_byte_identically(self, acceptance_stream, expected_lines):
         prefix = acceptance_stream[:60]
-        config = ServiceConfig(shards=2, max_wait_ms=10.0, max_batch=32)
+        config = ServiceConfig(shards=2, max_batch=32)
         lines, stats = run(serve_stream(requests_to_jsonl(prefix), config))
         assert lines == expected_lines[:60]
         assert stats["server"]["mode"] == "shards=2"
@@ -154,7 +154,7 @@ class TestControlLines:
         ]
 
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 return await _converse(server.host, server.port, lines)
 
         pong, answer, stats_line, unknown = run(scenario())
@@ -180,7 +180,7 @@ class TestErrorResults:
         ]
 
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 return await _converse(server.host, server.port, lines)
 
         good, bad_request, garbage = (load_result_line(line) for line in run(scenario()))
@@ -192,35 +192,40 @@ class TestErrorResults:
 
 
 class TestDrain:
-    def test_drain_answers_admitted_requests_without_waiting_for_the_window_timer(self):
+    def test_drain_answers_requests_queued_behind_a_busy_window(self):
         requests = [
             f'{{"v":1,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
         ]
 
         async def scenario():
-            # A one-minute window: only drain can close it promptly.
-            config = ServiceConfig(max_wait_ms=60_000.0, max_batch=100)
-            server = QueryServer(config)
+            session = GatedSession()
+            server = QueryServer(ServiceConfig(max_batch=100), session=session)
             host, port = await server.start()
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(("".join(line + "\n" for line in requests)).encode("utf-8"))
+            stats = server.batcher.stats
+            # d0's window blocks on the gate; d1 and d2 queue behind it.
+            writer.write((requests[0] + "\n").encode("utf-8"))
+            await writer.drain()
+            await _poll(lambda: stats.windows >= 1)
+            writer.write(("".join(line + "\n" for line in requests[1:])).encode("utf-8"))
             await writer.drain()  # no EOF: the connection stays open
-            await _poll(lambda: server.batcher.stats.submitted >= 3)
-            started = time.perf_counter()
-            await server.drain()
-            elapsed = time.perf_counter() - started
+            await _poll(lambda: stats.submitted >= 3)
+            draining = asyncio.ensure_future(server.drain())
+            await asyncio.sleep(0.05)  # readers stop; the drain sentinel queues last
+            session.gate.set()
+            await asyncio.wait_for(draining, timeout=10)
             answers = [await reader.readline() for _ in requests]
             trailer = await reader.readline()
             writer.close()
-            return answers, trailer, elapsed, server.batcher.stats
+            return answers, trailer, stats
 
-        answers, trailer, elapsed, stats = run(scenario(), timeout=30)
-        assert elapsed < 30.0  # nowhere near the 60 s window timer
+        answers, trailer, stats = run(scenario(), timeout=30)
         decoded = [load_result_line(a.decode("utf-8").strip()) for a in answers]
         assert [r.id for r in decoded] == ["d0", "d1", "d2"]
         assert all(r.ok for r in decoded)
         assert trailer == b""  # the server closed the connection after draining
-        assert stats.closed_by["drain"] == 1
+        assert stats.windows == 2
+        assert stats.closed_by == {"size": 0, "idle": 1, "drain": 1}
 
 
 class GatedSession(Session):
@@ -244,7 +249,7 @@ class TestOverloadShed:
         async def scenario():
             session = GatedSession()
             config = ServiceConfig(
-                max_wait_ms=0.0, max_batch=1, queue_limit=1, overload="shed"
+                max_batch=1, queue_limit=1, overload="shed"
             )
             server = QueryServer(config, session=session)
             host, port = await server.start()

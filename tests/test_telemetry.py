@@ -546,9 +546,10 @@ class TestServerTelemetry:
         payload = json.loads(answers[-1])
         assert payload["control"] == "metrics"
         metrics = payload["metrics"]
-        # the snapshot is cut when the control line is *read*, so decode-time
-        # counters are visible while respond-time histograms may still be empty
+        # the snapshot is cut only after every earlier answer on the
+        # connection was written, so the whole prefix is started and finished
         assert metrics["counters"]["trace.requests_started"] == len(prefix)
+        assert metrics["counters"]["trace.requests_finished"] == len(prefix)
         assert metrics["gauges"]["service.server.connections_served"] >= 0
         assert set(metrics) == {"counters", "costlog", "gauges", "histograms", "trace"}
         assert metrics["trace"]["started"] > 0
