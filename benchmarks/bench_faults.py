@@ -7,8 +7,9 @@ costs **under 5%** on fault-free throughput, and a worker crashed mid-stream
 comes back *warm* (snapshot-shipped restore) fast enough that the stream's
 wall clock barely moves.  Series on the 200-request acceptance-shaped mix:
 
-* **fault-free overhead** — (a) :func:`pool_map_encoded`, the retained PR 7
-  ``Pool`` baseline (static greedy deal, no supervision); (b) the supervised
+* **fault-free overhead** — (a) :func:`pool_map_encoded`, the unsupervised
+  ``multiprocessing.Pool`` baseline kept here (static greedy deal, no
+  supervision, one ``pool.map``); (b) the supervised
   :class:`ShardExecutor` on the same encoded lines.  Both build their worker
   pools inside the timed region, so the comparison includes process spawn
   and warm-up on both sides.
@@ -23,16 +24,18 @@ Every round asserts byte-identity against the in-process planner pipeline —
 supervision and recovery must never change an answer.
 """
 
+import multiprocessing
 import time
+from typing import Optional
 
 import pytest
 
-from repro.service.executor import ShardExecutor, pool_map_encoded
+from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan
 from repro.service.planner import execute_plan
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot
-from repro.service.wire import dump_request_line, dump_result_line
+from repro.service.wire import dump_request_line, dump_result_line, load_request_line
 from repro.workloads.random_service import random_service_requests
 
 #: The acceptance-shaped mix: 200 mixed requests over two small theories.
@@ -42,6 +45,48 @@ STREAM_COUNT = 200
 CRASH_ONCE = FaultPlan(
     seed=20260617, faults=(Fault(kind="crash_worker", worker=0, unit=0, incarnation=0),)
 )
+
+
+# Worker-global session of the Pool baseline.
+_WORKER_SESSION: Optional[Session] = None
+
+
+def _initialize_worker() -> None:
+    """The Pool baseline's initializer: build the worker's warm session."""
+    global _WORKER_SESSION
+    _WORKER_SESSION = Session()
+
+
+def _execute_shard(lines: list[tuple[int, str]]) -> list[tuple[int, str]]:
+    """Answer one shard of the Pool baseline: decode, plan, encode."""
+    requests = [load_request_line(line) for _, line in lines]
+    results = _WORKER_SESSION.execute_many(requests, batch=True)
+    return [(index, dump_result_line(result)) for (index, _), result in zip(lines, results)]
+
+
+def pool_map_encoded(lines: list[str], shards: int = 2) -> list[str]:
+    """The unsupervised ``multiprocessing.Pool`` execution path (the baseline).
+
+    No supervision, no deadlines, no fault isolation: the executor's
+    batch-aligned work units dealt statically, largest first, to the least
+    loaded shard, then one ``pool.map``.
+    """
+    requests = [load_request_line(line) for line in lines]
+    buckets: list[list[int]] = [[] for _ in range(shards)]
+    loads = [0] * shards
+    units = ShardExecutor(shards=shards)._work_units(requests)
+    for unit in sorted(units, key=len, reverse=True):  # stable: ties keep plan order
+        shard = loads.index(min(loads))
+        buckets[shard].extend(unit)
+        loads[shard] += len(unit)
+    payloads = [[(index, lines[index]) for index in sorted(bucket)] for bucket in buckets if bucket]
+    start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    out: list[Optional[str]] = [None] * len(lines)
+    with multiprocessing.get_context(start_method).Pool(shards, _initialize_worker) as pool:
+        for chunk in pool.map(_execute_shard, payloads):
+            for index, line in chunk:
+                out[index] = line
+    return out
 
 
 def _stream(seed: int):

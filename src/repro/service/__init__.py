@@ -11,18 +11,17 @@ request surface:
   partitions/universes, relations/databases/schemas, requests, results);
 * :mod:`repro.service.session` — :class:`Session`, the uniform
   ``QueryRequest → QueryResult`` surface owning one shared implication
-  index, the Theorem 12 normalization cache, and an LRU result cache
+  index, the Theorem 12 normalization cache, and a result cache
   invalidated precisely when Γ grows;
 * :mod:`repro.service.planner` — the batch planner that regroups a mixed
   stream by kind and dependency set and routes each group into the amortized
   batch APIs;
 * :mod:`repro.service.executor` — :class:`ShardExecutor`, the multiprocess
-  fan-out with per-worker session warm-up, wire-codec transport and
-  deterministic result ordering;
-* :mod:`repro.service.result_cache` — :class:`SharedResultCache`, the
-  parent-side tier-0 result cache shared by every shard, and
-  :class:`ConsistentHashRing`, the shard-affinity router that turns the
-  per-worker caches into a coherent second tier;
+  fan-out with per-worker session warm-up, wire-codec transport,
+  deterministic result ordering and a parent-side result cache in front of
+  the (cacheless) workers;
+* :mod:`repro.service.result_cache` — :class:`ResultCache`, the service's
+  one result cache (held by the session or by the shard executor);
 * :mod:`repro.service.supervisor` — :class:`SupervisedPool`, the fault-
   tolerant worker pool under the executor: liveness monitoring, warm
   restarts, retry/split/quarantine escalation and hard deadline kills;
@@ -64,7 +63,7 @@ from repro.service.api import (
     quotient_request,
 )
 from repro.service.config import OVERLOAD_POLICIES, ServiceConfig
-from repro.service.executor import ShardExecutor, pool_map_encoded
+from repro.service.executor import ShardExecutor
 from repro.service.faults import (
     FAULT_KINDS,
     Fault,
@@ -76,7 +75,7 @@ from repro.service.faults import (
 )
 from repro.service.microbatch import MicroBatcher, MicroBatchStats, Ticket
 from repro.service.planner import Batch, execute_plan, naive_dispatch, plan, plan_summary
-from repro.service.result_cache import ConsistentHashRing, SharedResultCache
+from repro.service.result_cache import ResultCache
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import DependencyContext, Session
 from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
@@ -171,9 +170,7 @@ __all__ = [
     "execute_plan",
     "naive_dispatch",
     "ShardExecutor",
-    "pool_map_encoded",
-    "SharedResultCache",
-    "ConsistentHashRing",
+    "ResultCache",
     "SupervisedPool",
     "SupervisorStats",
     "WorkItem",

@@ -78,7 +78,6 @@ class ServiceConfig:
     unit_timeout_ms: Optional[float] = None
     breaker_threshold: int = 4
     fault_plan: Optional[str] = None
-    shared_cache_size: int = 4096
     trace: bool = False
     metrics_dir: Optional[str] = None
     metrics_interval_ms: float = 1000.0
@@ -118,10 +117,6 @@ class ServiceConfig:
         if self.breaker_threshold < 0:
             raise ServiceError(
                 f"breaker_threshold must be >= 0 (0 disables), got {self.breaker_threshold}"
-            )
-        if self.shared_cache_size < 0:
-            raise ServiceError(
-                f"shared_cache_size must be >= 0 (0 disables), got {self.shared_cache_size}"
             )
         if self.metrics_interval_ms <= 0:
             raise ServiceError(
@@ -190,7 +185,7 @@ class ServiceConfig:
             snapshot=self.read_boot_snapshot(),
             fault_plan=self.fault_plan,
             unit_timeout_ms=self.unit_timeout_ms,
-            shared_cache_size=self.shared_cache_size,
+            result_cache_size=self.result_cache_size,
         )
 
 
@@ -213,7 +208,10 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         "--cache-size",
         type=int,
         default=defaults.result_cache_size,
-        help=f"session result-cache entries (0 disables; default {defaults.result_cache_size})",
+        help=(
+            "result-cache entries, held in-process or, with --shards > 1, by the parent "
+            f"in front of cacheless workers (0 disables; default {defaults.result_cache_size})"
+        ),
     )
     parser.add_argument("--stats", action="store_true", help="print a summary line to stderr")
     parser.add_argument(
@@ -223,15 +221,6 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         help=(
             "hard wall-clock limit per sharded work unit in milliseconds "
             "(default: none; deadline-carrying units always get max deadline + grace)"
-        ),
-    )
-    parser.add_argument(
-        "--shared-cache-size",
-        type=int,
-        default=defaults.shared_cache_size,
-        help=(
-            "parent-side shared result-cache entries for sharded dispatch "
-            f"(0 disables the shared tier and ring routing; default {defaults.shared_cache_size})"
         ),
     )
     parser.add_argument(
@@ -352,7 +341,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         unit_timeout_ms=getattr(args, "unit_timeout_ms", None),
         breaker_threshold=getattr(args, "breaker_threshold", ServiceConfig.breaker_threshold),
         fault_plan=getattr(args, "fault_plan", None),
-        shared_cache_size=getattr(args, "shared_cache_size", ServiceConfig.shared_cache_size),
         trace=getattr(args, "trace", False),
         metrics_dir=getattr(args, "metrics_dir", None),
         metrics_interval_ms=getattr(

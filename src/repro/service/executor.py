@@ -9,11 +9,16 @@ scale means processes.  :class:`ShardExecutor` partitions a stream across
   boundary exercises exactly the codecs a networked deployment would (and
   the hash-consed AST re-interns per process via the parser, never by
   pickling live objects).
-* **Per-worker session warm-up** — each worker builds one
+* **Per-worker session warm-up** — each worker builds one cacheless
   :class:`~repro.service.session.Session` over the executor's base Γ (or
   restores the configured snapshot), then answers its units through the
   batch planner.  Workers therefore amortize exactly like the in-process
   service; the executor adds parallelism on top.
+* **One parent-side result cache** — a
+  :class:`~repro.service.result_cache.ResultCache` answers repeats before
+  any unit is formed (a hit never crosses a process boundary) and is warmed
+  with every computed result on reassembly.  A snapshot boot seeds it with
+  the snapshot's result entries.
 * **Plan-aware sharding** — the parent plans the stream first
   (:func:`repro.service.planner.plan`) and deals *batch-aligned work units*
   instead of raw requests round-robin.  Amortization lives in the batches
@@ -54,8 +59,7 @@ from typing import Optional
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.errors import ServiceError
 from repro.service.planner import IMPLICATION_CHUNK, plan
-from repro.service.result_cache import ConsistentHashRing, SharedResultCache
-from repro.service.session import Session
+from repro.service.result_cache import ResultCache
 from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
 from repro.service.wire import (
     QueryRequest,
@@ -67,45 +71,6 @@ from repro.service.wire import (
     load_result_line,
     request_cache_key,
 )
-
-# Worker-global session for the plain-Pool baseline below.
-_WORKER_SESSION: Optional[Session] = None
-
-
-def _initialize_worker(
-    encoded_dependencies: list[str], snapshot_text: Optional[str] = None
-) -> None:
-    """Build a pool worker's warm session — from a snapshot when one is shipped.
-
-    This is the initializer of the *unsupervised* ``multiprocessing.Pool``
-    baseline (:func:`pool_map_encoded`), kept as the reference point the
-    EXP-FLT benchmark measures supervision overhead against.
-    """
-    global _WORKER_SESSION
-    if snapshot_text is not None:
-        from repro.service.snapshot import restore_session
-
-        _WORKER_SESSION = restore_session(snapshot_text)
-        return
-    from repro.dependencies.pd import parse_pd_set
-
-    _WORKER_SESSION = Session(parse_pd_set(encoded_dependencies))
-
-
-def _execute_shard(payload: tuple[int, list[tuple[int, str]]]) -> tuple[int, list[tuple[int, str]]]:
-    """Answer one shard of the ``Pool`` baseline: decode, plan, encode."""
-    shard_index, lines = payload
-    session = _WORKER_SESSION
-    if session is None:  # pragma: no cover - initializer always runs first
-        raise ServiceError("shard worker used before initialization")
-    requests = [load_request_line(line) for _, line in lines]
-    results = session.execute_many(requests, batch=True)
-    encoded = [
-        (original_index, dump_result_line(result))
-        for (original_index, _), result in zip(lines, results)
-    ]
-    return shard_index, encoded
-
 
 class ShardExecutor:
     """Execute request streams across a supervised pool of warm worker processes."""
@@ -120,21 +85,14 @@ class ShardExecutor:
         unit_timeout_ms: Optional[float] = None,
         deadline_grace_ms: float = 2000.0,
         max_unit_attempts: int = 2,
-        shared_cache_size: int = 4096,
-        worker_cache_size: Optional[int] = None,
+        result_cache_size: int = 1024,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shard count must be positive, got {shards}")
         if max_unit_attempts < 1:
             raise ServiceError(f"max_unit_attempts must be positive, got {max_unit_attempts}")
         self.shards = shards
-        # The shared tier-0 result cache and its routing ring.  With
-        # shared_cache_size=0 both are off and dispatch is exactly the
-        # pre-tenancy behaviour (the per-worker-island baseline EXP-TEN
-        # measures against).
-        self._shared_cache = SharedResultCache(shared_cache_size)
-        self._ring = ConsistentHashRing(shards) if shared_cache_size > 0 else None
-        self._worker_cache_size = worker_cache_size
+        self._cache = ResultCache(result_cache_size)
         self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
         if snapshot is not None:
             # Validate once in the parent — a corrupt or mismatched snapshot
@@ -153,6 +111,7 @@ class ShardExecutor:
                     )
             else:
                 self._dependencies = [decode_pd(text) for text in payload["dependencies"]]
+            self._cache.load_entries(payload["results"])
         self._snapshot = snapshot
         self._fault_plan = fault_plan
         self._unit_timeout_ms = unit_timeout_ms
@@ -177,7 +136,6 @@ class ShardExecutor:
                 fault_plan_json=self._fault_plan,
                 unit_timeout_ms=self._unit_timeout_ms,
                 deadline_grace_ms=self._deadline_grace_ms,
-                worker_cache_size=self._worker_cache_size,
             )
         return self._pool
 
@@ -207,15 +165,13 @@ class ShardExecutor:
             return self._final_stats.as_dict()
         return SupervisorStats().as_dict()
 
-    def shared_cache_info(self) -> dict:
-        """The tier-0 shared cache's counters plus the routing-ring shape."""
-        info = self._shared_cache.info()
-        info["ring_shards"] = self._ring.shards if self._ring is not None else 0
-        return info
+    def cache_info(self) -> dict:
+        """The parent-side result cache's counters and per-tenant traffic."""
+        return self._cache.info()
 
     def invalidate_tenant(self, tenant: Optional[str] = None) -> int:
-        """Drop a tenant's base-Γ entries from the shared tier (Γ-growth hook)."""
-        return self._shared_cache.invalidate_tenant(tenant)
+        """Drop a tenant's base-Γ entries from the result cache (Γ-growth hook)."""
+        return self._cache.invalidate_tenant(tenant)
 
     # -- sharding --------------------------------------------------------------
 
@@ -281,112 +237,45 @@ class ShardExecutor:
             )
         else:
             index_map = list(range(len(lines)))
-        # Tier-0 probe: answer shared-cache hits parent-side, before any unit
-        # is formed — a hit never crosses a process boundary at all.  The
-        # canonical keys double as the ring's routing keys for the misses.
+        # Answer cache hits parent-side, before any unit is formed — a hit
+        # never crosses a process boundary at all.
         keys: dict[int, str] = {}
-        parent_hits: set[int] = set()
-        if self._shared_cache.enabled:
+        if self._cache.enabled:
             for i, request in enumerate(requests):
-                key = request_cache_key(request)
-                keys[i] = key
-                hit = self._shared_cache.lookup(key, request.id, request.tenant)
+                keys[i] = request_cache_key(request)
+                hit = self._cache.lookup(keys[i], request)
                 if hit is not None:
                     out[index_map[i]] = dump_result_line(hit)
-                    parent_hits.add(i)
-        units = [
-            WorkUnit(
-                items=tuple(
-                    WorkItem(
-                        index=index_map[i],
-                        line=lines[index_map[i]],
-                        request_id=requests[i].id,
-                        kind=requests[i].kind,
-                        deadline_ms=requests[i].deadline_ms,
-                        trace=requests[i].trace,
-                    )
-                    for i in unit_indices
-                ),
-                attempts_left=self._max_unit_attempts,
-                preferred=preferred,
+        misses = [i for i in range(len(requests)) if out[index_map[i]] is None]
+        units = []
+        for unit in self._work_units(requests):
+            items = tuple(
+                WorkItem(
+                    index=index_map[i],
+                    line=lines[index_map[i]],
+                    request_id=requests[i].id,
+                    kind=requests[i].kind,
+                    deadline_ms=requests[i].deadline_ms,
+                    trace=requests[i].trace,
+                )
+                for i in unit
+                if out[index_map[i]] is None  # hits drop out of their unit
             )
-            for unit_indices, preferred in self._routed_units(requests, keys, out, index_map)
-        ]
+            if items:
+                units.append(WorkUnit(items=items, attempts_left=self._max_unit_attempts))
         if units:
             pool = self._ensure_pool()
             for original_index, line in pool.run_units(units).items():
                 out[original_index] = line
-        if self._shared_cache.enabled:
-            self._publish(requests, keys, out, index_map, parent_hits)
         missing = [i for i, line in enumerate(out) if line is None]
         if missing:  # pragma: no cover - reassembly invariant
             raise ServiceError(f"shard executor lost results for requests {missing[:5]}")
+        if self._cache.enabled:
+            # Every computed answer warms the cache for every later caller
+            # (the cache itself refuses error results).
+            for i in misses:
+                self._cache.store(keys[i], requests[i], load_result_line(out[index_map[i]]))
         return out  # type: ignore[return-value]
-
-    def _routed_units(
-        self,
-        requests: Sequence[QueryRequest],
-        keys: dict[int, str],
-        out: list[Optional[str]],
-        index_map: list[int],
-    ) -> list[tuple[list[int], Optional[int]]]:
-        """Work units annotated with their consistent-hash shard affinity.
-
-        With the shared cache off this is the legacy deal (no affinity).
-        With it on, indices already answered from the cache drop out, and
-        each surviving unit is partitioned along the ring so every miss
-        lands on the shard that owns its cache key — the worker whose
-        session cache the key will warm (and hit, next time the bin-packer
-        deals it anywhere).  Partitions inherit the unit's amortization
-        (same planner group, same Γ), just sliced by key ownership.
-        """
-        units = self._work_units(requests)
-        if self._ring is None:
-            return [(unit, None) for unit in units]
-        routed: list[tuple[list[int], Optional[int]]] = []
-        for unit in units:
-            pending = [i for i in unit if out[index_map[i]] is None]
-            if not pending:
-                continue
-            by_shard: dict[int, list[int]] = {}
-            for i in pending:
-                by_shard.setdefault(self._ring.shard_for(keys[i]), []).append(i)
-            routed.extend((by_shard[shard], shard) for shard in sorted(by_shard))
-        return routed
-
-    def _publish(
-        self,
-        requests: Sequence[QueryRequest],
-        keys: dict[int, str],
-        out: list[Optional[str]],
-        index_map: list[int],
-        parent_hits: set[int],
-    ) -> None:
-        """Publish computed miss results into the shared tier on reassembly.
-
-        Any shard's computation warms the cache for every future caller —
-        this is the step that turns per-worker islands into tier 1 of one
-        coherent cache.  Error results (timeouts, quarantines, kernel
-        failures) are never published, matching the session-cache contract.
-        """
-        for i, request in enumerate(requests):
-            if i in parent_hits:
-                continue
-            line = out[index_map[i]]
-            if line is None:
-                continue
-            try:
-                result = load_result_line(line)
-            except Exception:  # pragma: no cover - supervisor already validated
-                continue
-            if not result.ok:
-                continue
-            self._shared_cache.store(
-                keys[i],
-                result,
-                tenant=request.tenant,
-                uses_tenant_gamma=request.dependencies is None and request.kind != "fd_implies",
-            )
 
     def execute(self, requests: Sequence[QueryRequest]) -> list[QueryResult]:
         """Answer decoded requests; convenience wrapper over :meth:`execute_encoded`."""
@@ -394,53 +283,3 @@ class ShardExecutor:
 
         lines = [dump_request_line(request) for request in requests]
         return [load_result_line(line) for line in self.execute_encoded(lines, requests=requests)]
-
-
-def pool_map_encoded(
-    lines: Sequence[str],
-    shards: int = 2,
-    dependencies: Iterable[PartitionDependencyLike] = (),
-    start_method: Optional[str] = None,
-    snapshot: Optional[str] = None,
-) -> list[str]:
-    """The PR 7 ``multiprocessing.Pool`` execution path, kept as a baseline.
-
-    No supervision, no deadlines, no fault isolation: one static greedy deal,
-    one ``pool.map``.  The EXP-FLT benchmark runs this against the supervised
-    executor to assert the supervision overhead stays under its budget.
-    """
-    if not lines:
-        return []
-    pds = [as_partition_dependency(pd) for pd in dependencies]
-    requests = [load_request_line(line) for line in lines]
-    helper = ShardExecutor(shards=shards, dependencies=pds)
-    units = helper._work_units(requests)
-    buckets: list[list[int]] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for unit in sorted(units, key=len, reverse=True):  # stable: ties keep plan order
-        shard = loads.index(min(loads))
-        buckets[shard].extend(unit)
-        loads[shard] += len(unit)
-    for bucket in buckets:
-        bucket.sort()
-    if start_method is None:
-        available = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in available else "spawn"
-    context = multiprocessing.get_context(start_method)
-    encoded = [encode_pd(pd) for pd in pds]
-    payloads = [
-        (shard_index, [(index, lines[index]) for index in bucket])
-        for shard_index, bucket in enumerate(buckets)
-        if bucket
-    ]
-    out: list[Optional[str]] = [None] * len(lines)
-    with context.Pool(
-        processes=shards, initializer=_initialize_worker, initargs=(encoded, snapshot)
-    ) as pool:
-        for _, chunk in pool.map(_execute_shard, payloads):
-            for original_index, line in chunk:
-                out[original_index] = line
-    missing = [i for i, line in enumerate(out) if line is None]
-    if missing:  # pragma: no cover - reassembly invariant
-        raise ServiceError(f"pool baseline lost results for requests {missing[:5]}")
-    return out  # type: ignore[return-value]

@@ -161,7 +161,7 @@ class MicroBatchStats:
 
     def record_tenant(self, tenant: Optional[str], field: str) -> None:
         """Bump one tenant's ``submitted``/``answered`` counter (capped keyspace)."""
-        from repro.service.session import tenant_label
+        from repro.service.result_cache import tenant_label
 
         label = tenant_label(tenant)
         bucket = self.per_tenant.get(label)

@@ -147,29 +147,27 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
     """
     results: list[Optional[QueryResult]] = [None] * len(requests)
     # Canonical keys are computed once per request and threaded through the
-    # probe, the dispatch and the store (encoding a database-carrying request
-    # three times was measurable on the hot path).
+    # probe, the dedupe, the dispatch and the store (encoding a
+    # database-carrying request three times was measurable on the hot path).
     keys: dict[int, str] = {}
     for batch in plan(requests):
         pending: list[int] = []
         duplicates: list[tuple[int, int]] = []  # (stream index, index of first occurrence)
         first_by_key: dict[str, int] = {}
         for index in batch.indices:
-            if session.cache_enabled:
-                keys[index] = request_cache_key(requests[index])
-            cached = session.cache_lookup(requests[index], key=keys.get(index))
+            key = keys[index] = request_cache_key(requests[index])
+            cached = session.cache_lookup(requests[index], key=key)
             if cached is not None:
                 results[index] = cached
                 continue
             # Identical requests always share a batch (same canonical key ⇒
-            # same group key): dispatch the first occurrence, copy the rest.
-            key = keys.get(index)
-            first = first_by_key.get(key) if key is not None else None
+            # same group key): dispatch the first occurrence, copy the rest —
+            # with or without a result cache.
+            first = first_by_key.get(key)
             if first is not None:
                 duplicates.append((index, first))
                 continue
-            if key is not None:
-                first_by_key[key] = index
+            first_by_key[key] = index
             pending.append(index)
         if pending:
             if batch.deadline:
@@ -184,7 +182,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                         query_size=telemetry.request_query_size(requests[index]),
                     ):
                         result = session.execute(requests[index], use_cache=False)
-                    session.cache_store(requests[index], result, key=keys.get(index))
+                    session.cache_store(requests[index], result, key=keys[index])
                     results[index] = result
             elif batch.kind == "fd_implies":
                 _execute_fd_batch(session, requests, results, pending, keys)
@@ -205,7 +203,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                         # The probe above already recorded the miss; evaluate
                         # directly and store, instead of probing a second time.
                         result = session.execute(requests[index], use_cache=False)
-                        session.cache_store(requests[index], result, key=keys.get(index))
+                        session.cache_store(requests[index], result, key=keys[index])
                         results[index] = result
         for index, first in duplicates:
             prior = results[first]
@@ -214,7 +212,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
             else:
                 # Error results are never cached; match the sequential path
                 # and recompute (the probe counts this request's own miss).
-                results[index] = session.execute(requests[index], cache_key=keys.get(index))
+                results[index] = session.execute(requests[index], cache_key=keys[index])
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:  # loud, not misaligned: a dropped slot would shift the CLI stream
         raise ServiceError(f"planner produced no result for requests {missing[:5]}")
@@ -303,13 +301,13 @@ def _execute_implication_batch(
         except Exception:
             # Fall back to per-request dispatch so errors are reported per line.
             for index in chunk:
-                results[index] = session.execute(requests[index], cache_key=keys.get(index))
+                results[index] = session.execute(requests[index], cache_key=keys[index])
             continue
         for index, verdict in zip(chunk, verdicts):
             request = requests[index]
             field = "implied" if request.kind == "implies" else "equivalent"
             result = QueryResult(kind=request.kind, ok=True, id=request.id, value={field: verdict})
-            session.cache_store(request, result, key=keys.get(index))
+            session.cache_store(request, result, key=keys[index])
             results[index] = result
 
 
@@ -338,12 +336,12 @@ def _execute_fd_batch(
     except Exception:
         # Fall back to per-request dispatch so errors are reported per line.
         for index in pending:
-            results[index] = session.execute(requests[index], cache_key=keys.get(index))
+            results[index] = session.execute(requests[index], cache_key=keys[index])
         return
     for index, verdict in zip(pending, verdicts):
         request = requests[index]
         result = QueryResult(kind="fd_implies", ok=True, id=request.id, value={"implied": verdict})
-        session.cache_store(request, result, key=keys.get(index))
+        session.cache_store(request, result, key=keys[index])
         results[index] = result
 
 

@@ -1,55 +1,47 @@
-"""The shared result-cache tier and its consistent-hash shard ring.
+"""The service's one result cache.
 
-Before this module the executor's repeat-query story was **per-worker LRU
-islands**: each worker process owns a warm :class:`~repro.service.session.Session`
-cache, so a repeat query only hits if the bin-packer happens to deal it to
-the shard that answered it first.  Under multi-tenant Zipf-skewed traffic
-that is the common case *not* happening — hot tenants' repeats spray across
-shards and re-pay the kernel cost.
+Every answer the service gives is a pure function of the canonical request
+bytes (:func:`repro.service.wire.request_cache_key`: tenant embedded; id,
+deadline and trace excluded) and the tenant's Γ.  A cache keyed that way is
+exact wherever it sits, so one tier is enough:
 
-Two pieces fix it:
+* the in-process backend's :class:`~repro.service.session.Session` holds one;
+* the sharded backend's :class:`~repro.service.executor.ShardExecutor` holds
+  one in the parent — hits are answered before any work unit is formed,
+  computed results are published on reassembly — and its workers run
+  cacheless.
 
-* :class:`SharedResultCache` — one parent-side LRU over
-  :func:`repro.service.wire.request_cache_key` canonical bytes (tenant
-  embedded, id/deadline excluded).  The parent consults it at plan time and
-  answers hits without shipping the request to a worker at all; completed
-  results are published back on reassembly, so *any* shard's computation
-  warms the cache for *every* future shard.  Per-tenant hit/miss counters
-  feed the server's stats surface, and :meth:`invalidate_tenant` mirrors the
-  session's tenant-scoped Γ-growth eviction.  All operations take a lock —
-  the micro-batcher's worker thread and control lines may race.
-* :class:`ConsistentHashRing` — classic sha256 ring with virtual nodes.
-  Cache-key misses are routed so the *same key always lands on the same
-  shard*: a tenant's repeats develop shard affinity and the per-worker
-  caches become a coherent second tier instead of independent islands.
-  Virtual nodes keep the deal balanced (within a few percent for ≥64
-  vnodes per shard) and adding/removing a shard only remaps the keys that
-  must move.
-
-Results are stored with ``id=None`` (the caller's id is re-stamped on hit)
-and error results are never cached — exactly the session-cache contract, so
-a shared-cache hit is byte-identical to recomputing.
+:class:`ResultCache` owns every caching rule: results are stored without the
+caller's id (re-stamped on hit), error results are never stored, and growing
+a tenant's Γ drops exactly the entries answered against it.  It keeps per-tenant hit/miss counters for the
+stats surface and exports/loads the snapshot's result entries.  All
+operations take a lock — the micro-batcher's window thread and control lines
+may race.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from bisect import bisect_right
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import replace
 from typing import Optional
 
 from repro.errors import ServiceError
-from repro.service.wire import QueryResult
+from repro.service.wire import QueryRequest, QueryResult, decode_result, encode_result
 
-__all__ = ["SharedResultCache", "ConsistentHashRing"]
+__all__ = ["ResultCache", "tenant_label"]
 
 
-class SharedResultCache:
+def tenant_label(tenant: Optional[str]) -> str:
+    """The display name of a tenant key (``None`` is the default tenant)."""
+    return "default" if tenant is None else tenant
+
+
+class ResultCache:
     """A lock-protected LRU of wire results keyed on canonical request bytes."""
 
-    def __init__(self, maxsize: int = 4096) -> None:
+    def __init__(self, maxsize: int = 1024) -> None:
         self._maxsize = max(0, maxsize)
         self._lock = threading.Lock()
         # key -> (uses_tenant_gamma, tenant, result-without-caller-id)
@@ -65,35 +57,33 @@ class SharedResultCache:
     def enabled(self) -> bool:
         return self._maxsize > 0
 
-    def lookup(
-        self, key: str, request_id: Optional[str], tenant: Optional[str] = None
-    ) -> Optional[QueryResult]:
-        """The cached result re-stamped with the caller's id, or ``None``."""
+    def lookup(self, key: str, request: QueryRequest) -> Optional[QueryResult]:
+        """The cached result re-stamped with the request's id, or ``None``."""
         if not self._maxsize:
             return None
+        tenant = request.tenant
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 self._tenant_hits[tenant] = self._tenant_hits.get(tenant, 0) + 1
-                return replace(entry[2], id=request_id, cached=True)
+                return replace(entry[2], id=request.id, cached=True)
             self._misses += 1
             self._tenant_misses[tenant] = self._tenant_misses.get(tenant, 0) + 1
             return None
 
-    def store(
-        self,
-        key: str,
-        result: QueryResult,
-        tenant: Optional[str] = None,
-        uses_tenant_gamma: bool = False,
-    ) -> None:
-        """Publish a computed result (error results are never cached)."""
+    def store(self, key: str, request: QueryRequest, result: QueryResult) -> None:
+        """Insert a computed result (error results are never cached)."""
         if not self._maxsize or not result.ok:
             return
+        # Only answers over the tenant's base Γ go stale when it grows:
+        # explicit-Γ requests and fd_implies (which reasons over its own Σ)
+        # survive invalidate_tenant.
+        uses_tenant_gamma = request.dependencies is None and request.kind != "fd_implies"
+        entry = (uses_tenant_gamma, request.tenant, replace(result, id=None, cached=False))
         with self._lock:
-            self._entries[key] = (uses_tenant_gamma, tenant, replace(result, id=None, cached=False))
+            self._entries[key] = entry
             self._stores += 1
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
@@ -111,25 +101,14 @@ class SharedResultCache:
             self._entries = keep
             return dropped
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def info(self) -> dict:
-        """Counters and per-tenant traffic, shaped for the stats surface."""
-        from repro.service.session import tenant_label
+        """Counters and per-tenant traffic, shaped for the stats surface.
 
+        ``per_tenant`` is sorted by label so the dict itself (not just its
+        canonical-JSON rendering) is deterministic.
+        """
         with self._lock:
-            per_tenant = {}
-            for tenant in set(self._tenant_hits) | set(self._tenant_misses):
-                per_tenant[tenant_label(tenant)] = {
-                    "hits": self._tenant_hits.get(tenant, 0),
-                    "misses": self._tenant_misses.get(tenant, 0),
-                }
+            tenants = sorted(set(self._tenant_hits) | set(self._tenant_misses), key=tenant_label)
             return {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -137,37 +116,39 @@ class SharedResultCache:
                 "evictions": self._evictions,
                 "size": len(self._entries),
                 "maxsize": self._maxsize,
-                "per_tenant": per_tenant,
+                "per_tenant": {
+                    tenant_label(tenant): {
+                        "hits": self._tenant_hits.get(tenant, 0),
+                        "misses": self._tenant_misses.get(tenant, 0),
+                    }
+                    for tenant in tenants
+                },
             }
 
+    # -- snapshot entries ------------------------------------------------------
 
-class ConsistentHashRing:
-    """A sha256 consistent-hash ring over integer shard ids with virtual nodes."""
+    def export_entries(self) -> list:
+        """The snapshot's ``[key, uses_gamma, tenant, result]`` entries, in LRU order."""
+        with self._lock:
+            return [
+                [key, uses_gamma, tenant, encode_result(result)]
+                for key, (uses_gamma, tenant, result) in self._entries.items()
+            ]
 
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
-        if shards < 1:
-            raise ServiceError(f"a hash ring needs at least one shard, got {shards}")
-        self._shards = shards
-        self._vnodes = max(1, vnodes)
-        points: list[tuple[int, int]] = []
-        for shard in range(shards):
-            for replica in range(self._vnodes):
-                points.append((self._hash(f"shard:{shard}:vnode:{replica}"), shard))
-        points.sort()
-        self._points = [p for p, _ in points]
-        self._owners = [s for _, s in points]
+    def load_entries(self, entries: Iterable[list]) -> None:
+        """Install snapshot entries (shape-checked by the snapshot decoder).
 
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:8], "big")
-
-    @property
-    def shards(self) -> int:
-        return self._shards
-
-    def shard_for(self, key: str) -> int:
-        """The shard owning a cache key: first vnode clockwise from its hash."""
-        position = bisect_right(self._points, self._hash(key))
-        if position == len(self._points):
-            position = 0
-        return self._owners[position]
+        Results re-enter through the wire codec.  Entries beyond the capacity
+        are dropped from the cold (least recent) end; counters are untouched
+        — they are per-process diagnostics, not snapshot state.
+        """
+        loaded = []
+        for key, uses_gamma, tenant, payload in entries:
+            result = decode_result(payload)
+            if not result.ok:
+                raise ServiceError("snapshot result cache contains an error result (never cached)")
+            loaded.append((key, (bool(uses_gamma), tenant, result)))
+        with self._lock:
+            self._entries.update(loaded)
+            while len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)

@@ -267,13 +267,12 @@ class QueryServer:
         return snapshot
 
     def _result_cache_snapshot(self) -> dict:
-        """Cache traffic by tier (shared / worker / session) and by tenant.
+        """Result-cache traffic by tier and by tenant.
 
-        Sharded backends report the executor's parent-side shared tier and
-        the aggregated per-worker session-cache deltas; the in-process
-        backend reports its session cache.  ``per_tenant`` merges whatever
-        tiers keep tenant-resolved counters (the shared tier and the
-        in-process session; worker deltas are tier totals only).
+        There is one cache per backend: a sharded backend reports the
+        executor's parent-side cache as the ``shared`` tier, the in-process
+        backend (including the breaker's fallback) its session cache as the
+        ``session`` tier.  ``per_tenant`` sums whichever tiers are present.
         """
 
         def _with_rate(tier: dict) -> dict:
@@ -284,16 +283,9 @@ class QueryServer:
         tiers: dict = {}
         per_tenant: dict = {}
         if self._executor is not None:
-            shared = self._executor.shared_cache_info()
-            per_tenant = shared.pop("per_tenant", {})
+            shared = self._executor.cache_info()
+            per_tenant = shared.pop("per_tenant")
             tiers["shared"] = _with_rate(shared)
-            supervision = self._executor.supervision_stats()
-            tiers["worker"] = _with_rate(
-                {
-                    "hits": supervision.get("worker_cache_hits", 0),
-                    "misses": supervision.get("worker_cache_misses", 0),
-                }
-            )
         if self._session is not None:
             info = self._session.cache_info()
             tiers["session"] = _with_rate({"hits": info["hits"], "misses": info["misses"]})

@@ -55,23 +55,18 @@ from repro.service.wire import (
     canonical_loads,
     decode_expression,
     decode_pd,
-    decode_result,
     encode_expression,
     encode_fd,
     encode_pd,
-    encode_result,
 )
 
 #: Snapshot format version; bump on any incompatible payload change.
-#: Version 2 (multi-tenancy) adds the ``tenants`` list and widens result
-#: entries to ``[key, uses_gamma, tenant, result]`` quadruples; the
-#: top-level ``generation``/``dependencies``/``index``/``normalized`` fields
-#: keep describing the *default* tenant, exactly as version 1 did.
+#: Version 2 (multi-tenancy) carries the ``tenants`` list and result entries
+#: as ``[key, uses_gamma, tenant, result]`` quadruples; the top-level
+#: ``generation``/``dependencies``/``index``/``normalized`` fields describe
+#: the *default* tenant.  It is the only version :func:`decode_snapshot`
+#: accepts.
 SNAPSHOT_VERSION = 2
-
-#: Versions :func:`decode_snapshot` accepts.  Version-1 documents restore as
-#: a default-tenant-only keyspace (their result entries carry no tenant).
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
 
 #: The ``kind`` tag of a snapshot document (guards against feeding the codec
 #: some other canonical-JSON artifact).
@@ -150,10 +145,7 @@ def encode_snapshot(session) -> dict:
                 state["tenants"], key=lambda entry: entry[0]
             )
         ],
-        "results": [
-            [key, uses_gamma, tenant, encode_result(result)]
-            for key, (uses_gamma, tenant, result) in state["results"]
-        ],
+        "results": state["results"],
     }
     payload["digest"] = _digest(payload)
     return payload
@@ -190,7 +182,7 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
     kind = payload.get("kind")
     if kind != SNAPSHOT_KIND:
         raise ServiceError(f"snapshot payload has kind {kind!r}; expected {SNAPSHOT_KIND!r}")
-    version = _check_version(payload, "snapshot", expected=SUPPORTED_SNAPSHOT_VERSIONS)
+    _check_version(payload, "snapshot", accepted=(SNAPSHOT_VERSION,))
     stored = _require(payload, "digest", "snapshot")
     actual = _digest(payload)
     if stored != actual:
@@ -212,46 +204,43 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
     if normalized is not None:
         for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
             _require_list(normalized, field, "snapshot normalization")
-    if version >= 2:
-        for entry in _require_list(payload, "tenants", "snapshot"):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], str)
-                or not entry[0]
-                or not isinstance(entry[1], dict)
-            ):
-                raise ServiceError(
-                    f"snapshot tenant entry must be a [name, state] pair, got {entry!r}"
-                )
-            tenant_state = entry[1]
-            tenant_context = f"snapshot tenant {entry[0]!r}"
-            tenant_generation = _require(tenant_state, "generation", tenant_context)
-            if (
-                isinstance(tenant_generation, bool)
-                or not isinstance(tenant_generation, int)
-                or tenant_generation < 0
-            ):
-                raise ServiceError(
-                    f"{tenant_context} generation must be a non-negative integer, "
-                    f"got {tenant_generation!r}"
-                )
-            _require_list(tenant_state, "dependencies", tenant_context)
-            tenant_index = _require(tenant_state, "index", tenant_context)
-            if tenant_index is not None:
-                for field in ("expressions", "parent", "arcs"):
-                    _require_list(tenant_index, field, tenant_context + " index")
-            tenant_normalized = _require(tenant_state, "normalized", tenant_context)
-            if tenant_normalized is not None:
-                for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
-                    _require_list(tenant_normalized, field, tenant_context + " normalization")
-        entry_width, entry_shape = 4, "[key, uses_gamma, tenant, result] quadruple"
-    else:
-        entry_width, entry_shape = 3, "[key, uses_base_gamma, result] triple"
+    for entry in _require_list(payload, "tenants", "snapshot"):
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not isinstance(entry[0], str)
+            or not entry[0]
+            or not isinstance(entry[1], dict)
+        ):
+            raise ServiceError(f"snapshot tenant entry must be a [name, state] pair, got {entry!r}")
+        tenant_state = entry[1]
+        tenant_context = f"snapshot tenant {entry[0]!r}"
+        tenant_generation = _require(tenant_state, "generation", tenant_context)
+        if (
+            isinstance(tenant_generation, bool)
+            or not isinstance(tenant_generation, int)
+            or tenant_generation < 0
+        ):
+            raise ServiceError(
+                f"{tenant_context} generation must be a non-negative integer, "
+                f"got {tenant_generation!r}"
+            )
+        _require_list(tenant_state, "dependencies", tenant_context)
+        tenant_index = _require(tenant_state, "index", tenant_context)
+        if tenant_index is not None:
+            for field in ("expressions", "parent", "arcs"):
+                _require_list(tenant_index, field, tenant_context + " index")
+        tenant_normalized = _require(tenant_state, "normalized", tenant_context)
+        if tenant_normalized is not None:
+            for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
+                _require_list(tenant_normalized, field, tenant_context + " normalization")
     for entry in _require_list(payload, "results", "snapshot"):
-        if not isinstance(entry, list) or len(entry) != entry_width or not isinstance(entry[0], str):
-            raise ServiceError(f"snapshot result entry must be a {entry_shape}, got {entry!r}")
-        if entry_width == 4 and entry[2] is not None and (not isinstance(entry[2], str) or not entry[2]):
+        if not isinstance(entry, list) or len(entry) != 4 or not isinstance(entry[0], str):
+            raise ServiceError(
+                "snapshot result entry must be a [key, uses_gamma, tenant, result] "
+                f"quadruple, got {entry!r}"
+            )
+        if entry[2] is not None and (not isinstance(entry[2], str) or not entry[2]):
             raise ServiceError(
                 f"snapshot result entry tenant must be null or a non-empty string, got {entry[2]!r}"
             )
@@ -319,6 +308,7 @@ def restore_session(
     ``expected_dependencies`` (any iterable of PDs) refuses a snapshot whose
     base Γ differs from the one the caller configured.
     """
+    from repro.service.result_cache import ResultCache
     from repro.service.session import DependencyContext, Session
 
     payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
@@ -341,7 +331,7 @@ def restore_session(
         DependencyContext, dependencies, payload["index"], payload["normalized"]
     )
     tenants = []
-    for name, tenant_state in payload.get("tenants", ()):
+    for name, tenant_state in payload["tenants"]:
         tenant_dependencies = tuple(decode_pd(text) for text in tenant_state["dependencies"])
         tenants.append(
             (
@@ -355,22 +345,12 @@ def restore_session(
                 tenant_state["generation"],
             )
         )
-    results = []
-    for entry in payload["results"]:
-        if len(entry) == 4:
-            key, uses_gamma, tenant, result_payload = entry
-        else:  # a version-1 document: default-tenant entries only
-            key, uses_gamma, result_payload = entry
-            tenant = None
-        result = decode_result(result_payload)
-        if not result.ok:
-            raise ServiceError("snapshot result cache contains an error result (never cached)")
-        results.append((key, (bool(uses_gamma), tenant, result)))
+    results = ResultCache(result_cache_size)
+    results.load_entries(payload["results"])
     return Session._from_restored(
         base,
         generation=generation,
         results=results,
-        result_cache_size=result_cache_size,
         foreign_context_limit=foreign_context_limit,
         tenants=tenants,
     )

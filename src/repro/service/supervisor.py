@@ -5,8 +5,9 @@ killed mid-task (OOM, segfault, a poison request) loses the whole ``map``
 call, and there is no per-task wall-clock control at all.  This module
 replaces it with an explicit supervision loop:
 
-* each worker is a plain :class:`multiprocessing.Process` holding one warm
-  :class:`~repro.service.session.Session`, spoken to over a duplex pipe
+* each worker is a plain :class:`multiprocessing.Process` holding one warm,
+  cacheless :class:`~repro.service.session.Session` (the result cache lives
+  in the parent executor), spoken to over a duplex pipe
   with wire-format strings (the same transport discipline as the old pool);
 * the parent multiplexes worker pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so a reply, a crash and a blown
@@ -77,18 +78,10 @@ class WorkItem:
 
 @dataclass
 class WorkUnit:
-    """A batch-aligned dispatch quantum with its remaining delivery attempts.
-
-    ``preferred`` is the consistent-hash shard the executor routed this unit
-    to (``None`` = no affinity).  It is a *hint*: the scheduler keeps a
-    pinned queue per worker so repeats land on the worker whose session
-    cache is warm for them, but an idle worker steals from the longest
-    pinned backlog rather than wait — affinity never costs wall clock.
-    """
+    """A batch-aligned dispatch quantum with its remaining delivery attempts."""
 
     items: tuple[WorkItem, ...]
     attempts_left: int = 2
-    preferred: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -109,10 +102,6 @@ class SupervisorStats:
     restart_seconds: float = 0.0
     last_restart_seconds: Optional[float] = None
     restarts_by_worker: dict = field(default_factory=dict)
-    # Aggregated worker-session result-cache traffic (the second cache tier):
-    # each validated reply carries the unit's hit/miss delta.
-    worker_cache_hits: int = 0
-    worker_cache_misses: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -141,8 +130,6 @@ class SupervisorStats:
                 str(index): self.restarts_by_worker[index]
                 for index in sorted(self.restarts_by_worker)
             },
-            "worker_cache_hits": self.worker_cache_hits,
-            "worker_cache_misses": self.worker_cache_misses,
         }
 
 
@@ -153,7 +140,6 @@ def _worker_main(
     encoded_dependencies: list[str],
     snapshot_text: Optional[str],
     fault_plan_json: Optional[str],
-    worker_cache_size: Optional[int] = None,
     telemetry_enabled: bool = False,
 ) -> None:
     """One supervised worker: warm a session, then serve units until the sentinel.
@@ -173,17 +159,16 @@ def _worker_main(
         faults.install_fault_plan(fault_plan_json)
     else:
         faults.install_from_env()
-    # Per-worker result-cache capacity: the memory-bounded tier-2 islands
-    # EXP-TEN sizes explicitly (None keeps the Session default).
-    cache_kwargs = {} if worker_cache_size is None else {"result_cache_size": worker_cache_size}
+    # Cacheless: the parent executor's result cache answers every repeat
+    # before a unit is formed, so a worker cache would only hold misses.
     if snapshot_text is not None:
         from repro.service.snapshot import restore_session
 
-        session = restore_session(snapshot_text, **cache_kwargs)
+        session = restore_session(snapshot_text, result_cache_size=0)
     else:
         from repro.dependencies.pd import parse_pd_set
 
-        session = Session(parse_pd_set(encoded_dependencies), **cache_kwargs)
+        session = Session(parse_pd_set(encoded_dependencies), result_cache_size=0)
     while True:
         try:
             message = conn.recv()
@@ -204,22 +189,14 @@ def _worker_main(
                 encoded[original_index] = dump_result_line(
                     error_result_for_line(line, original_index + 1, exc)
                 )
-        before = session.cache_info()
         results = session.execute_many(requests, batch=True)
-        after = session.cache_info()
         for original_index, request, result in zip(positions, requests, results):
             encoded[original_index] = faults.corrupt_result_line(
                 request.id, dump_result_line(result)
             )
-        # The unit's session-cache delta rides back with the reply, so the
-        # parent can account the warm per-worker tier without another RPC.
-        info = {
-            "cache_hits": after["hits"] - before["hits"],
-            "cache_misses": after["misses"] - before["misses"],
-        }
         # Spans and cost records produced while executing this unit ride the
-        # same reply — that is how a trace crosses the process boundary.
-        info.update(telemetry.drain_for_reply())
+        # reply — that is how a trace crosses the process boundary.
+        info = telemetry.drain_for_reply()
         conn.send((unit_seq, [(index, encoded[index]) for index, _ in lines], info))
     conn.close()
 
@@ -268,7 +245,6 @@ class SupervisedPool:
         fault_plan_json: Optional[str] = None,
         unit_timeout_ms: Optional[float] = None,
         deadline_grace_ms: float = 2000.0,
-        worker_cache_size: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"worker count must be positive, got {workers}")
@@ -276,7 +252,6 @@ class SupervisedPool:
         self._encoded_dependencies = list(encoded_dependencies)
         self._snapshot = snapshot
         self._fault_plan_json = fault_plan_json
-        self._worker_cache_size = worker_cache_size
         self._unit_timeout_ms = unit_timeout_ms
         self._deadline_grace_ms = deadline_grace_ms
         self.stats = SupervisorStats()
@@ -295,7 +270,6 @@ class SupervisedPool:
                 self._encoded_dependencies,
                 self._snapshot,
                 self._fault_plan_json,
-                self._worker_cache_size,
                 telemetry.enabled(),
             ),
             daemon=True,
@@ -368,49 +342,23 @@ class SupervisedPool:
     def run_units(self, units: list[WorkUnit]) -> dict[int, str]:
         """Execute units to completion; returns stream index → result line.
 
-        Units with a ``preferred`` shard queue on that worker (largest first)
-        so consistently-hashed repeats land where the session cache is warm;
-        unpinned units share one queue.  An idle worker drains its own pinned
-        queue, then the shared queue, then steals from the longest pinned
-        backlog — affinity is a hint, never a stall.  Failures re-enter the
-        *shared* queue via the retry → split → quarantine ladder (the culprit
-        already cost its preferred worker an incarnation), so the returned
-        mapping always covers every item of every unit.
+        Deals largest-first to idle workers, then waits on pipes, sentinels
+        and the nearest wall-clock expiry; failures re-enter the queue via
+        the retry → split → quarantine ladder, so the returned mapping always
+        covers every item of every unit.
         """
         if not self._workers:
             raise ServiceError("the supervised pool is closed")
         results: dict[int, str] = {}
-        queue: deque[WorkUnit] = deque()  # the shared (unpinned + retry) queue
-        pinned: dict[int, deque[WorkUnit]] = {w.index: deque() for w in self._workers}
-        for unit in sorted(units, key=lambda unit: len(unit.items), reverse=True):
-            if unit.preferred is not None:
-                pinned[unit.preferred % len(self._workers)].append(unit)
-            else:
-                queue.append(unit)
-
-        def take_for(worker: _WorkerHandle) -> Optional[WorkUnit]:
-            own = pinned[worker.index]
-            if own:
-                return own.popleft()
-            if queue:
-                return queue.popleft()
-            longest = max(pinned.values(), key=len)
-            if longest:
-                return longest.popleft()
-            return None
-
+        queue: deque[WorkUnit] = deque(
+            sorted(units, key=lambda unit: len(unit.items), reverse=True)
+        )
         next_seq = 0
-        while (
-            queue
-            or any(pinned.values())
-            or any(worker.unit is not None for worker in self._workers)
-        ):
+        while queue or any(worker.unit is not None for worker in self._workers):
             for worker in self._workers:
-                if worker.unit is None:
-                    unit = take_for(worker)
-                    if unit is not None:
-                        self._dispatch(worker, unit, next_seq, results, queue)
-                        next_seq += 1
+                if worker.unit is None and queue:
+                    self._dispatch(worker, queue.popleft(), next_seq, results, queue)
+                    next_seq += 1
             busy = [worker for worker in self._workers if worker.unit is not None]
             if not busy:
                 continue
@@ -481,8 +429,6 @@ class SupervisedPool:
             return
         lines, info = validated
         results.update(lines)
-        # Adopt the worker's spans/cost first (it pops them out of info, so
-        # the counter loop below sees only the ints it expects).
         telemetry.adopt_reply(info)
         telemetry.record_unit_dispatch(
             [item.trace for item in unit.items],
@@ -495,8 +441,6 @@ class SupervisedPool:
             ),
             attempt=unit.attempts_left,
         )
-        self.stats.worker_cache_hits += info.get("cache_hits", 0)
-        self.stats.worker_cache_misses += info.get("cache_misses", 0)
         worker.unit = None
         worker.expires_at = None
 
@@ -528,16 +472,10 @@ class SupervisedPool:
         seq, payload, info = message
         if seq != worker.unit_seq or not isinstance(payload, list):
             return None
-        if not isinstance(info, dict):
+        # The info dict carries telemetry payloads (lists of dicts);
+        # anything else means the channel is torn.
+        if not isinstance(info, dict) or not all(isinstance(v, list) for v in info.values()):
             return None
-        for key, value in info.items():
-            if key in ("spans", "cost"):
-                # Telemetry payloads are lists of dicts; anything else means
-                # the channel is torn.
-                if not isinstance(value, list):
-                    return None
-            elif not isinstance(value, int):
-                return None
         expected = {item.index for item in unit.items}
         out: dict[int, str] = {}
         for entry in payload:

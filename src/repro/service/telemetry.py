@@ -745,7 +745,7 @@ def adopt_reply(info: dict) -> None:
     """Parent side: absorb a worker reply's spans/cost into this process.
 
     Pops the telemetry keys out of ``info`` so downstream consumers see only
-    the numeric counters they already expect.
+    the keys they already expect.
     """
     spans = info.pop("spans", None)
     cost = info.pop("cost", None)

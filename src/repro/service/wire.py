@@ -24,25 +24,18 @@ The envelope carries ``{"v": WIRE_VERSION}``; :func:`decode_request` and
 outside :data:`SUPPORTED_WIRE_VERSIONS` — a payload without ``"v"`` is
 refused, never silently assumed current, so incompatible format changes must
 bump :data:`WIRE_VERSION` and old envelopes cannot be mis-versioned by
-omission.  Version 2 added the optional ``deadline_ms`` request field (a
-per-query wall-clock budget); version-1 payloads still decode, but a v1
-envelope carrying ``deadline_ms`` is rejected — an old peer echoing unknown
-fields must not silently gain semantics.  Version 3 added the optional
-``tenant`` request field (the keyspace a request reasons and caches under);
-v1/v2 payloads decode as the *default* tenant, and an older envelope
-carrying ``tenant`` is rejected on the same principle.  Version 3 also
-carries the optional ``trace`` request field — a caller-supplied trace id
-for end-to-end observability; it is metadata only (excluded from cache keys
-and absent from results), and an older envelope carrying ``trace`` is
-rejected like the other post-v1 fields.  Malformed payloads
-raise
+omission.  Version 3 is the only version spoken.  Its optional request
+fields are ``deadline_ms`` (a per-query wall-clock budget), ``tenant`` (the
+keyspace a request reasons and caches under) and ``trace`` (a
+caller-supplied trace id for end-to-end observability; metadata only,
+excluded from cache keys and absent from results).  Malformed payloads raise
 :class:`~repro.errors.ServiceError` — never ``KeyError``/``TypeError`` — so
 the CLI can turn them into structured error results.
 
 Expressions travel as their minimal-parenthesis infix rendering
 (:func:`repro.expressions.printer.to_infix`), which the parser inverts
 exactly; PDs travel as ``"lhs = rhs"`` over the same rendering.  This keeps
-request files human-writable: ``{"v": 1, "kind": "implies", "dependencies":
+request files human-writable: ``{"v": 3, "kind": "implies", "dependencies":
 ["A = A * B"], "query": "A = A * B"}`` is a valid line of a JSONL stream.
 """
 
@@ -70,8 +63,8 @@ from repro.relational.tuples import Row
 #: Wire format version; bump on any incompatible payload change.
 WIRE_VERSION = 3
 
-#: Versions this service still decodes (encoding always emits WIRE_VERSION).
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
+#: Versions this service decodes (encoding always emits WIRE_VERSION).
+SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
 
 #: The query kinds the service understands.
 REQUEST_KINDS = (
@@ -125,13 +118,8 @@ def _require_int(payload: dict, key: str, context: str, default=None, allow_none
     return value
 
 
-def _check_version(payload: dict, context: str, expected=SUPPORTED_WIRE_VERSIONS) -> int:
-    accepted = expected if isinstance(expected, tuple) else (expected,)
-    if len(accepted) == 1:
-        spoken = f"version {accepted[0]}"
-    else:
-        listed = [str(v) for v in accepted]
-        spoken = "versions " + ", ".join(listed[:-1]) + f" and {listed[-1]}"
+def _check_version(payload: dict, context: str, accepted: tuple = SUPPORTED_WIRE_VERSIONS) -> None:
+    spoken = "version " + " or ".join(str(v) for v in accepted)
     if "v" not in payload:
         raise ServiceError(
             f"{context} payload is missing the 'v' version field; "
@@ -140,7 +128,6 @@ def _check_version(payload: dict, context: str, expected=SUPPORTED_WIRE_VERSIONS
     version = payload["v"]
     if version not in accepted:
         raise ServiceError(f"{context} uses version {version!r}; this service speaks {spoken}")
-    return version
 
 
 # -- expressions and dependencies ------------------------------------------------
@@ -340,7 +327,7 @@ class QueryRequest:
     ``dependencies`` is the PD set Γ the query reasons over; ``None`` means
     "use the session's own Γ" (the stateful mode).  ``tenant`` names the
     keyspace that Γ (and the request's cache slot) lives in; ``None`` is the
-    default tenant, which is how every pre-v3 request decodes.  ``trace`` is
+    default tenant (the field is omitted from the envelope).  ``trace`` is
     an optional caller-supplied trace id: pure observability metadata that
     never influences the answer (it is excluded from cache keys and results);
     when absent, a tracing-enabled server mints one at decode.  The remaining
@@ -466,19 +453,7 @@ def encode_request(request: QueryRequest) -> dict:
 def decode_request(payload: Any) -> QueryRequest:
     """Rebuild a :class:`QueryRequest`, re-interning every expression on the way in."""
     kind = _require(payload, "kind", "request")
-    version = _check_version(payload, "request")
-    if "deadline_ms" in payload and version < 2:
-        raise ServiceError(
-            "'deadline_ms' needs wire version 2; a version-1 request cannot carry a deadline"
-        )
-    if "tenant" in payload and version < 3:
-        raise ServiceError(
-            f"'tenant' needs wire version 3; a version-{version} request cannot carry a tenant"
-        )
-    if "trace" in payload and version < 3:
-        raise ServiceError(
-            f"'trace' needs wire version 3; a version-{version} request cannot carry a trace id"
-        )
+    _check_version(payload, "request")
     if kind not in REQUEST_KINDS:
         raise ServiceError(f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}")
     raw_deps = payload.get("dependencies")
@@ -566,7 +541,7 @@ def request_cache_key(request: QueryRequest) -> str:
     never change an answer.  The ``tenant`` field *stays in*: the key is effectively
     ``(tenant, canonical request bytes)``, so one tenant's repeats can never
     be served from (or poison) another tenant's cache slot — tenant isolation
-    is enforced at the key, in every cache tier that uses this function.
+    is enforced at the key, wherever the result cache sits.
     """
     payload = encode_request(request)
     payload.pop("id", None)

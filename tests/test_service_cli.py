@@ -95,9 +95,9 @@ class TestEndToEnd:
 class TestCliSurface:
     def test_stdin_stdout_with_session_dependencies(self):
         stdin = (
-            '{"v":1,"kind":"implies","id":"x","query":"A = A * C"}\n'
+            '{"v":3,"kind":"implies","id":"x","query":"A = A * C"}\n'
             "\n"
-            '{"v":1,"kind":"implies","id":"y","query":"C = C * A"}\n'
+            '{"v":3,"kind":"implies","id":"y","query":"C = C * A"}\n'
         )
         proc = _run_cli(["-d", "A = A*B; B = B*C", "-"], stdin_text=stdin)
         assert proc.returncode == 0, proc.stderr
@@ -108,7 +108,7 @@ class TestCliSurface:
 
     def test_malformed_lines_become_error_results_in_place(self):
         stdin = (
-            '{"v":1,"kind":"implies","id":"ok","query":"A = A"}\n'
+            '{"v":3,"kind":"implies","id":"ok","query":"A = A"}\n'
             "this is not json\n"
             '{"kind":"implies"}\n'
         )
@@ -125,7 +125,7 @@ class TestCliSurface:
     def test_error_results_name_original_file_lines_past_blanks(self):
         stdin = (
             "\n"
-            '{"v":1,"kind":"implies","id":"ok","query":"A = A"}\n'
+            '{"v":3,"kind":"implies","id":"ok","query":"A = A"}\n'
             "\n"
             "\n"
             "not json either\n"

@@ -119,6 +119,15 @@ class TestArgparseRoundTrip:
         with pytest.raises(TypeError):
             ServiceConfig(max_wait_ms=5.0)
 
+    def test_cache_size_is_the_only_result_cache_knob(self):
+        # One cache per backend, sized by --cache-size in either mode.
+        parser = argparse.ArgumentParser()
+        add_config_arguments(parser, serve=True)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--shared-cache-size", "8"])
+        with pytest.raises(TypeError):
+            ServiceConfig(shared_cache_size=8)
+
     def test_bad_dependency_flag_names_the_flag(self):
         parser = argparse.ArgumentParser()
         add_config_arguments(parser, serve=False)
@@ -144,3 +153,7 @@ class TestFactories:
         executor = config.make_executor()
         assert isinstance(executor, ShardExecutor)
         assert executor.shards == 2
+
+    def test_make_executor_sizes_the_parent_result_cache(self):
+        executor = ServiceConfig(shards=2, result_cache_size=7).make_executor()
+        assert executor.cache_info()["maxsize"] == 7

@@ -18,7 +18,7 @@ from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.service import serve_stream
 from repro.service.config import ServiceConfig
-from repro.service.executor import ShardExecutor, pool_map_encoded
+from repro.service.executor import ShardExecutor
 from repro.service.faults import (
     ENV_VAR,
     Fault,
@@ -300,7 +300,7 @@ class TestSupervisedExecution:
         """execute_encoded without pre-decoded requests isolates bad lines."""
         requests = _stream()
         lines = [dump_request_line(r) for r in requests]
-        lines.insert(2, '{"v": 1, "kind": "implies"')  # torn mid-object
+        lines.insert(2, '{"v": 3, "kind": "implies"')  # torn mid-object
         with ShardExecutor(shards=2, dependencies=DEPENDENCIES) as executor:
             out = executor.execute_encoded(lines)
         reference = _reference(requests)
@@ -312,7 +312,7 @@ class TestSupervisedExecution:
 
 
 def _req_line(i, kind, query, **extra):
-    return json.dumps({"v": 2, "id": f"q{i}", "kind": kind, "query": query, **extra})
+    return json.dumps({"v": 3, "id": f"q{i}", "kind": kind, "query": query, **extra})
 
 
 @needs_fork
@@ -491,7 +491,7 @@ class TestAcceptanceStream:
     def test_fault_free_supervised_run_matches_pool_baseline(self, modified_stream):
         stream, _, _, _ = modified_stream
         lines = [dump_request_line(r) for r in stream]
-        baseline = pool_map_encoded(lines, shards=2)
+        baseline = [dump_result_line(r) for r in execute_plan(Session(), stream)]
         with ShardExecutor(shards=2) as executor:
             supervised = executor.execute_encoded(lines, requests=stream)
         assert supervised == baseline

@@ -174,3 +174,27 @@ class TestCacheInterplay:
         assert [r.id for r in results] == ["a", "b", "c"]
         assert results[0].value == results[1].value == results[2].value
         assert results[1].cached and results[2].cached
+
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000])
+    def test_in_batch_dedupe_does_not_need_a_result_cache(self, deadline_ms):
+        session = Session(result_cache_size=0)
+        evaluated = []
+        real = session._evaluate
+
+        def counting(request):
+            evaluated.append(request.id)
+            return real(request)
+
+        session._evaluate = counting
+        request = QueryRequest(
+            kind="counterexample",
+            dependencies=(_pd("A = A*B"),),
+            query=_pd("B = B*A"),
+            max_pool=200,
+            deadline_ms=deadline_ms,
+        )
+        results = execute_plan(session, [request.with_id(i) for i in ("a", "b", "c")])
+        assert evaluated == ["a"]  # one evaluation for three identical requests
+        assert [r.id for r in results] == ["a", "b", "c"]
+        assert results[0].value == results[1].value == results[2].value
+        assert session.cache_info()["size"] == 0

@@ -145,7 +145,7 @@ class TestByteIdentity:
 
 class TestControlLines:
     def test_stats_ping_and_unknown_control_answer_in_order(self):
-        request = '{"v":1,"kind":"implies","id":"r1","query":"A = A"}'
+        request = '{"v":3,"kind":"implies","id":"r1","query":"A = A"}'
         lines = [
             '{"control":"ping"}',
             request,
@@ -174,7 +174,7 @@ class TestControlLines:
 class TestErrorResults:
     def test_error_results_echo_parseable_ids_and_fall_back_to_line_numbers(self):
         lines = [
-            '{"v":1,"kind":"implies","id":"good","query":"A = A"}',
+            '{"v":3,"kind":"implies","id":"good","query":"A = A"}',
             '{"kind":"implies","id":"no-query"}',  # valid JSON, invalid request
             "utter garbage",  # not JSON at all
         ]
@@ -194,7 +194,7 @@ class TestErrorResults:
 class TestDrain:
     def test_drain_answers_requests_queued_behind_a_busy_window(self):
         requests = [
-            f'{{"v":1,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
+            f'{{"v":3,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
         ]
 
         async def scenario():
@@ -243,7 +243,7 @@ class GatedSession(Session):
 class TestOverloadShed:
     def test_surplus_requests_are_shed_with_well_formed_errors(self):
         requests = [
-            f'{{"v":1,"kind":"implies","id":"s{i}","query":"A = A"}}' for i in range(3)
+            f'{{"v":3,"kind":"implies","id":"s{i}","query":"A = A"}}' for i in range(3)
         ]
 
         async def scenario():
@@ -311,7 +311,7 @@ class TestServeCommand:
 
             with socket.create_connection((host, int(port)), timeout=30) as conn:
                 conn.sendall(
-                    b'{"v":1,"kind":"implies","id":"live","query":"A = A * B","dependencies":["A = A * B"]}\n'
+                    b'{"v":3,"kind":"implies","id":"live","query":"A = A * B","dependencies":["A = A * B"]}\n'
                     b'{"control":"ping"}\n'
                 )
                 stream = conn.makefile("r", encoding="utf-8")

@@ -153,6 +153,17 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="speaks version"):
             decode_snapshot(skewed)
 
+    def test_version_1_snapshots_are_refused(self):
+        # The pre-tenancy format: no tenant list, [key, uses_gamma, result] triples.
+        def downgrade(payload):
+            payload["v"] = 1
+            payload.pop("tenants")
+            payload["results"] = [[key, uses, result] for key, uses, _, result in payload["results"]]
+
+        text = dump_snapshot(_warm_session(5))
+        with pytest.raises(ServiceError, match="speaks version 2"):
+            restore_session(_resealed(text, downgrade))
+
     def test_missing_version_is_refused_explicitly(self):
         text = dump_snapshot(_warm_session(5))
         missing = _resealed(text, lambda p: p.pop("v"))

@@ -183,7 +183,7 @@ class TestWireTrace:
 
     def test_trace_refused_on_old_envelopes(self):
         for version in (1, 2):
-            with pytest.raises(ServiceError, match="'trace' needs wire version 3"):
+            with pytest.raises(ServiceError, match="this service speaks version 3"):
                 load_request_line(
                     json.dumps({"v": version, "kind": "implies", "id": "x", "query": "A = A*B", "trace": "t1"})
                 )

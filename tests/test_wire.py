@@ -224,19 +224,19 @@ class TestMalformedPayloads:
         "payload",
         [
             "not json at all",
-            '{"v": 1, "kind": "implies"}',  # missing query
-            '{"v": 1, "kind": "nonsense", "query": "A = B"}',
+            '{"v": 3, "kind": "implies"}',  # missing query
+            '{"v": 3, "kind": "nonsense", "query": "A = B"}',
             '{"kind": "implies", "query": "A = B", "v": 999}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "method": "psychic"}',
-            '{"v": 1, "kind": "equivalent", "left": "A +* B", "right": "A"}',
-            '{"v": 1, "kind": "quotient", "pool": []}',
-            '{"v": 1, "kind": "fd_implies", "fds": [{"lhs": ["A"]}],'
+            '{"v": 3, "kind": "consistent", "database": {"relations": []}, "method": "psychic"}',
+            '{"v": 3, "kind": "equivalent", "left": "A +* B", "right": "A"}',
+            '{"v": 3, "kind": "quotient", "pool": []}',
+            '{"v": 3, "kind": "fd_implies", "fds": [{"lhs": ["A"]}],'
             ' "target": {"lhs": ["A"], "rhs": ["B"]}}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": "oops"}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": [400]}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": null}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": "x"}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": true}',
+            '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": "oops"}',
+            '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": [400]}',
+            '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": null}',
+            '{"v": 3, "kind": "consistent", "database": {"relations": []}, "max_nodes": "x"}',
+            '{"v": 3, "kind": "consistent", "database": {"relations": []}, "max_nodes": true}',
         ],
     )
     def test_bad_request_lines_raise_service_error(self, payload):
@@ -253,7 +253,7 @@ class TestMalformedPayloads:
 
     def test_explicit_null_max_nodes_means_unbounded(self):
         request = wire.load_request_line(
-            '{"v": 1, "kind": "consistent", "database": {"relations": '
+            '{"v": 3, "kind": "consistent", "database": {"relations": '
             '[{"name": "r", "attributes": ["A"], "rows": [["a"]]}]}, "max_nodes": null}'
         )
         assert request.max_nodes is None
@@ -291,19 +291,16 @@ class TestDeadlineOnTheWire:
         assert "deadline_ms" not in wire.encode_request(request)
         assert wire.decode_request(wire.encode_request(request)).deadline_ms is None
 
-    def test_version_1_payloads_still_decode(self):
-        request = wire.load_request_line('{"v": 1, "kind": "implies", "query": "A = A * B"}')
-        assert request.deadline_ms is None
-
-    def test_version_1_payload_cannot_carry_a_deadline(self):
-        with pytest.raises(ServiceError, match="wire version 2"):
-            wire.load_request_line(
-                '{"v": 1, "kind": "implies", "query": "A = A * B", "deadline_ms": 100}'
-            )
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_payloads_are_refused(self, version):
+        with pytest.raises(ServiceError, match="this service speaks version 3"):
+            wire.load_request_line(f'{{"v": {version}, "kind": "implies", "query": "A = A * B"}}')
+        with pytest.raises(ServiceError, match="this service speaks version 3"):
+            wire.decode_result({"v": version, "kind": "implies", "ok": True, "value": {}})
 
     @pytest.mark.parametrize("value", ["100", True, 0, -5, 1.5])
     def test_invalid_deadline_values_are_rejected(self, value):
-        payload = {"v": 2, "kind": "implies", "query": "A = A * B", "deadline_ms": value}
+        payload = {"v": 3, "kind": "implies", "query": "A = A * B", "deadline_ms": value}
         with pytest.raises(ServiceError):
             wire.decode_request(payload)
 
